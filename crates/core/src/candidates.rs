@@ -8,7 +8,7 @@
 //! common taxonomy subsumer ("wordnet_musician").
 
 use prox_obs::Counter;
-use prox_provenance::{AnnId, AnnStore, DomainId};
+use prox_provenance::{AnnId, AnnKind, AnnStore, DomainId};
 use prox_robust::{BudgetSession, BudgetStop};
 use prox_taxonomy::{ConceptId, Taxonomy};
 
@@ -37,12 +37,21 @@ impl Candidate {
     /// Flattened base members (what the new annotation will summarize).
     pub fn base_members(&self, store: &AnnStore) -> Vec<AnnId> {
         let mut out = Vec::new();
+        self.base_members_into(store, &mut out);
+        out
+    }
+
+    /// [`Candidate::base_members`] into a reused buffer.
+    pub fn base_members_into(&self, store: &AnnStore, out: &mut Vec<AnnId>) {
+        out.clear();
         for &m in &self.members {
-            out.extend(store.base_of(m));
+            match &store.get(m).kind {
+                AnnKind::Base => out.push(m),
+                AnnKind::Summary { members } => out.extend_from_slice(members),
+            }
         }
         out.sort_unstable();
         out.dedup();
-        out
     }
 }
 

@@ -4,26 +4,34 @@
 //! `dist^{h,φ}(p, p') = (Σ_{v∈V_Ann} VAL-FUNC(v, v^{h,φ}, p, p')) / |V_Ann|`
 //!
 //! The engine caches the original expression's evaluation under every
-//! valuation — candidates share those — and, per candidate, lifts each
-//! valuation to the summary's annotations via φ and evaluates the summary.
+//! valuation — candidates share those. [`DistanceEngine::distance`] is the
+//! one-shot reference: it lifts each valuation to the summary's annotations
+//! via φ and evaluates the whole summary. The greedy loop scores its
+//! candidates with a [`StepScorer`] instead, which gives the same distances
+//! and sizes without building the candidates' expressions.
 //! Reported distances are normalized by the maximum possible error so they
 //! lie in `[0,1]` (§6.3).
 
 use std::collections::BTreeMap;
 
 use prox_obs::Counter;
-use prox_provenance::{AnnId, AnnStore, EvalOutcome, Mapping, PhiMap, Summarizable, Valuation};
+use prox_provenance::{
+    AnnId, AnnKind, AnnStore, EvalOutcome, Mapping, MergePlan, MergedTruth, PhiMap, Summarizable,
+    Truth, TruthBits, Valuation,
+};
 
+use crate::candidates::Candidate;
+use crate::score::CandidateMeasure;
 use crate::val_func::{ValFuncCtx, ValFuncKind};
 
-/// Distance computations (one per [`DistanceEngine::distance_raw`] call).
+/// Distance computations: one per [`DistanceEngine::distance`] call and
+/// one per candidate a [`StepScorer`] scores.
 static DISTANCE_EVALUATIONS: Counter = Counter::new("distance/evaluations");
-/// Per-valuation lookups of the original's cached outcome.
-static MEMO_LOOKUPS: Counter = Counter::new("distance/memo_lookups");
-/// Lookups served from the engine's cache (everything after `new`).
-static MEMO_HITS: Counter = Counter::new("distance/memo_hits");
-/// Lookups that had to evaluate the original (the `new` pre-pass).
-static MEMO_MISSES: Counter = Counter::new("distance/memo_misses");
+/// (candidate, valuation) pairs whose VAL-FUNC term a [`StepScorer`] took
+/// unchanged from the current summary.
+static VALUATIONS_REUSED: Counter = Counter::new("distance/valuations_reused");
+/// (candidate, valuation) pairs a [`StepScorer`] evaluated.
+static VALUATIONS_EVALUATED: Counter = Counter::new("distance/valuations_evaluated");
 
 /// Overrides the member set of candidate target annotations during
 /// evaluation, so candidates can be scored without interning a summary
@@ -52,12 +60,8 @@ impl<'a, E: Summarizable> DistanceEngine<'a, E> {
         phis: PhiMap,
         val_func: ValFuncKind,
     ) -> Self {
-        // Evaluating (and memoizing) `v(p₀)` here is the cache's fill
-        // pass: one miss per valuation, never repeated afterwards.
         let orig_outcomes: Vec<EvalOutcome> =
             valuations.iter().map(|v| original.evaluate(v)).collect();
-        MEMO_LOOKUPS.add(orig_outcomes.len() as u64);
-        MEMO_MISSES.add(orig_outcomes.len() as u64);
         let max_error = original.max_error().max(f64::MIN_POSITIVE);
         let ctx = ValFuncCtx {
             weight: 1.0,
@@ -138,12 +142,19 @@ impl<'a, E: Summarizable> DistanceEngine<'a, E> {
         overrides: &MemberOverride,
     ) -> f64 {
         DISTANCE_EVALUATIONS.incr();
+        self.raw(summary, h, store, overrides)
+    }
+
+    /// [`DistanceEngine::distance`] without touching the counters — the
+    /// check of a committed step against the scorer.
+    pub(crate) fn distance_uncounted(&self, summary: &E, h: &Mapping, store: &AnnStore) -> f64 {
+        (self.raw(summary, h, store, &MemberOverride::new()) / self.max_error).min(1.0)
+    }
+
+    fn raw(&self, summary: &E, h: &Mapping, store: &AnnStore, overrides: &MemberOverride) -> f64 {
         if self.valuations.is_empty() {
             return 0.0;
         }
-        // Every valuation's original outcome is served from the cache.
-        MEMO_LOOKUPS.add(self.valuations.len() as u64);
-        MEMO_HITS.add(self.valuations.len() as u64);
         let summary_anns = summary.annotations();
         let mut acc = 0.0f64;
         for (v, orig_out) in self.valuations.iter().zip(&self.orig_outcomes) {
@@ -162,6 +173,175 @@ impl<'a, E: Summarizable> DistanceEngine<'a, E> {
             acc += self.val_func.eval(orig_ref, &summ_out, self.ctx);
         }
         acc / self.valuations.len() as f64
+    }
+}
+
+/// Scores the candidate merges of one greedy step, exactly as
+/// [`DistanceEngine::distance`] and `size` would on each candidate's
+/// expression, without building it.
+///
+/// Built once per step from the current summary and the cumulative
+/// mapping, it keeps per valuation: the lift to the summary's annotations
+/// (dense bits), the original's outcome projected into the summary's key
+/// space, and the summary's outcome with its VAL-FUNC term. A candidate
+/// `M ↦ M[0]` changes only what mentions `M`: a valuation under which
+/// every member already has the merged truth keeps its term when the merge
+/// only identifies truths ([`MergePlan::identifies_truths_only`]); every
+/// other valuation evaluates the planned merge through a view reading `M`
+/// as the merged truth. Terms are summed in valuation order, as the
+/// reference sums them, so distances agree bit for bit.
+pub struct StepScorer<'s, 'a, E: Summarizable> {
+    engine: &'s DistanceEngine<'a, E>,
+    current: &'s E,
+    store: &'s AnnStore,
+    size: usize,
+    /// Per valuation: its lift to the current summary's annotations.
+    lifted: Vec<TruthBits>,
+    /// Per valuation: the original's outcome in the current key space.
+    projected: Vec<EvalOutcome>,
+    /// Per valuation: the current summary's outcome and VAL-FUNC term.
+    outcomes: Vec<EvalOutcome>,
+    terms: Vec<f64>,
+    /// The image under the cumulative mapping of each coordinate of the
+    /// original's (vector) outcomes.
+    keys: Vec<AnnId>,
+    plan: E::Merge,
+    /// Scratch for one candidate: its base members, the merged outcome,
+    /// and the original re-projected when the merge joins object keys.
+    base: Vec<AnnId>,
+    merged: EvalOutcome,
+    reprojected: EvalOutcome,
+}
+
+impl<'s, 'a, E: Summarizable> StepScorer<'s, 'a, E> {
+    /// Prepare to score merges of `current`, the summary the cumulative
+    /// mapping `h` made of the engine's original.
+    pub fn new(
+        engine: &'s DistanceEngine<'a, E>,
+        current: &'s E,
+        h: &Mapping,
+        store: &'s AnnStore,
+    ) -> Self {
+        let anns = current.annotations();
+        let lifted: Vec<TruthBits> = engine
+            .valuations
+            .iter()
+            .map(|v| {
+                let mut bits = TruthBits::new(store.len());
+                for &a in &anns {
+                    let ann = store.get(a);
+                    let value = match &ann.kind {
+                        AnnKind::Base => v.truth(a),
+                        AnnKind::Summary { members } => engine
+                            .phis
+                            .for_domain(ann.domain)
+                            .combine_bool(members.iter().map(|&m| v.truth(m))),
+                    };
+                    bits.set(a, value);
+                }
+                bits
+            })
+            .collect();
+        let projected: Vec<EvalOutcome> = engine
+            .orig_outcomes
+            .iter()
+            .map(|o| match o {
+                EvalOutcome::Vector(vec) => EvalOutcome::Vector(vec.project(h)),
+                other => other.clone(),
+            })
+            .collect();
+        let outcomes: Vec<EvalOutcome> = lifted.iter().map(|l| current.evaluate(l)).collect();
+        let terms = projected
+            .iter()
+            .zip(&outcomes)
+            .map(|(p, c)| engine.val_func.eval(p, c, engine.ctx))
+            .collect();
+        let keys = match engine.orig_outcomes.first() {
+            Some(EvalOutcome::Vector(vec)) => {
+                vec.coords().iter().map(|&(o, _)| h.image(o)).collect()
+            }
+            _ => Vec::new(),
+        };
+        let scratch = projected
+            .first()
+            .cloned()
+            .unwrap_or(EvalOutcome::Scalar(0.0));
+        StepScorer {
+            engine,
+            current,
+            store,
+            size: current.size(),
+            lifted,
+            projected,
+            outcomes,
+            terms,
+            keys,
+            plan: E::Merge::default(),
+            base: Vec::new(),
+            merged: scratch.clone(),
+            reprojected: scratch,
+        }
+    }
+
+    /// Distance and size of `cand`, the merge of its members (current
+    /// annotations) onto the first one.
+    pub fn measure(&mut self, cand: &Candidate) -> CandidateMeasure {
+        DISTANCE_EVALUATIONS.incr();
+        let members = &cand.members;
+        self.current.plan_merge(members, &mut self.plan);
+        let size = self.plan.merged_size(self.size);
+        let engine = self.engine;
+        if engine.valuations.is_empty() {
+            return CandidateMeasure {
+                distance: 0.0,
+                size,
+            };
+        }
+        // The merged annotation's truth is φ over its base members, as the
+        // reference's member override lifts it.
+        cand.base_members_into(self.store, &mut self.base);
+        let phi = engine.phis.for_domain(self.store.get(members[0]).domain);
+        let truth_only = self.plan.identifies_truths_only();
+        let reproject = self.keys.iter().any(|k| members.contains(k));
+        let mut acc = 0.0f64;
+        let mut reused = 0u64;
+        for (ix, v) in engine.valuations.iter().enumerate() {
+            let value = phi.combine_bool(self.base.iter().map(|&b| v.truth(b)));
+            let lifted = &self.lifted[ix];
+            if truth_only && members.iter().all(|&m| lifted.truth(m) == value) {
+                acc += self.terms[ix];
+                reused += 1;
+                continue;
+            }
+            let view = MergedTruth {
+                base: lifted,
+                members: members.as_slice(),
+                value,
+            };
+            self.current
+                .evaluate_merged(&self.plan, &view, &self.outcomes[ix], &mut self.merged);
+            let orig = match (
+                &self.projected[ix],
+                &engine.orig_outcomes[ix],
+                &mut self.reprojected,
+            ) {
+                (EvalOutcome::Vector(p), EvalOutcome::Vector(o), EvalOutcome::Vector(out))
+                    if reproject =>
+                {
+                    o.project_merged(&self.keys, p, members, out);
+                    &self.reprojected
+                }
+                (p, _, _) => p,
+            };
+            acc += engine.val_func.eval(orig, &self.merged, engine.ctx);
+        }
+        let n = engine.valuations.len() as u64;
+        VALUATIONS_REUSED.add(reused);
+        VALUATIONS_EVALUATED.add(n - reused);
+        CandidateMeasure {
+            distance: (acc / n as f64 / engine.max_error).min(1.0),
+            size,
+        }
     }
 }
 

@@ -70,7 +70,7 @@ pub use config::{ScoreMode, SummarizeConfig, TieBreak};
 // Re-exported so downstream crates keep a single import surface for the
 // robustness types threaded through the summarization APIs.
 pub use constraints::{ConstraintConfig, MergeRule};
-pub use distance::{DistanceEngine, MemberOverride};
+pub use distance::{DistanceEngine, MemberOverride, StepScorer};
 pub use equivalence::{equivalence_classes, group_equivalent};
 pub use history::{History, StepRecord, StopReason};
 pub use optimal::{greedy_gap, optimal_summary, Objective, OptimalResult};

@@ -21,10 +21,10 @@ use prox_taxonomy::{group_distance, Taxonomy, TaxonomyFold};
 use crate::candidates::{enumerate_with, Candidate};
 use crate::config::{SummarizeConfig, TieBreak};
 use crate::constraints::{concepts_of, ConstraintConfig};
-use crate::distance::{DistanceEngine, MemberOverride};
+use crate::distance::{DistanceEngine, MemberOverride, StepScorer};
 use crate::equivalence::group_equivalent;
 use crate::history::{History, StepRecord, StopReason};
-use crate::score::{minimal_indices, score_all, CandidateMeasure};
+use crate::score::{minimal_indices, score_all};
 
 /// Whole `summarize` runs.
 static SPAN_SUMMARIZE: SpanTimer = SpanTimer::new("summarize");
@@ -32,6 +32,8 @@ static SPAN_SUMMARIZE: SpanTimer = SpanTimer::new("summarize");
 static SPAN_STEP: SpanTimer = SpanTimer::new("summarize/step");
 /// Candidate enumeration within a step.
 static SPAN_ENUMERATE: SpanTimer = SpanTimer::new("summarize/step/enumerate");
+/// Candidate measurement (distance and size) within a step.
+static SPAN_EVALUATE: SpanTimer = SpanTimer::new("summarize/step/evaluate");
 /// Scoring + tie-breaking within a step.
 static SPAN_SCORE: SpanTimer = SpanTimer::new("summarize/step/score");
 /// Steps committed across all runs.
@@ -139,6 +141,11 @@ impl<'a> Summarizer<'a> {
             );
             (res.expr, res.mapping)
         };
+        // Candidates are planned against a simplified summary; every
+        // `apply_mapping` output is one, the unmapped input may not be.
+        if cumulative.is_identity() {
+            current = current.apply_mapping(&cumulative);
+        }
 
         let engine = DistanceEngine::new(
             p0,
@@ -205,10 +212,14 @@ impl<'a> Summarizer<'a> {
 
             // Candidate measurement dominates step time, so poll the budget
             // every few candidates; a mid-measure trip abandons the step
-            // (the best-so-far summary from prior steps stands).
+            // (the best-so-far summary from prior steps stands). Each
+            // candidate is scored as the merge of its members onto the
+            // first one, whose lift is φ over the candidate's base members.
             let mut measure_stop: Option<BudgetStop> = None;
+            let eval_span = SPAN_EVALUATE.start();
             let trace_eval = session.span("evaluate");
             let measures = timer.candidates(|| {
+                let mut scorer = StepScorer::new(&engine, &current, &cumulative, self.store);
                 let mut measures = Vec::with_capacity(cands.len());
                 for (ix, cand) in cands.iter().enumerate() {
                     if ix % 32 == 31 {
@@ -217,26 +228,13 @@ impl<'a> Summarizer<'a> {
                             break;
                         }
                     }
-                    // Evaluate by mapping all members onto the first one and
-                    // overriding its base-member set — equivalent to mapping
-                    // onto a fresh annotation, without interning per candidate.
-                    let rep = cand.members[0];
-                    let step_map = Mapping::group(&cand.members[1..], rep);
-                    let expr = current.apply_mapping(&step_map);
-                    let mut h = cumulative.clone();
-                    h.compose_with(&step_map);
-                    let mut overrides = MemberOverride::new();
-                    overrides.insert(rep, cand.base_members(self.store));
-                    let distance = engine.distance(&expr, &h, self.store, &overrides);
-                    measures.push(CandidateMeasure {
-                        distance,
-                        size: expr.size(),
-                    });
+                    measures.push(scorer.measure(cand));
                 }
                 measures
             });
             session.trace_note("measured", measures.len() as u64);
             drop(trace_eval);
+            eval_span.finish();
             if let Some(stop) = measure_stop {
                 break_reason = Some(stop.into());
                 break;
@@ -294,10 +292,24 @@ impl<'a> Summarizer<'a> {
             }
             let real_map = Mapping::group(&chosen.members, summary_ann);
             let next = current.apply_mapping(&real_map);
-            debug_assert_eq!(next.size(), chosen_measure.size);
+            if next.size() != chosen_measure.size {
+                return Err(ProxError::internal(format!(
+                    "step {}: committed size {} differs from the scored size {}",
+                    step + 1,
+                    next.size(),
+                    chosen_measure.size
+                )));
+            }
 
             prev = Some((current, cumulative.clone(), current_dist));
             cumulative.compose_with(&real_map);
+            debug_assert_eq!(
+                engine
+                    .distance_uncounted(&next, &cumulative, self.store)
+                    .to_bits(),
+                chosen_measure.distance.to_bits(),
+                "the scored distance of the committed step"
+            );
             current = next;
             current_dist = chosen_measure.distance;
             step += 1;

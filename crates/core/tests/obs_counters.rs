@@ -58,9 +58,8 @@ fn counters_reconcile_with_history() {
     let vals = ValuationClass::CancelSingleAnnotation.generate(&s, &users, &[users_dom]);
 
     let before_enumerated = counter("candidates/enumerated");
-    let before_lookups = counter("distance/memo_lookups");
-    let before_hits = counter("distance/memo_hits");
-    let before_misses = counter("distance/memo_misses");
+    let before_reused = counter("distance/valuations_reused");
+    let before_evaluated = counter("distance/valuations_evaluated");
     let before_evals = counter("distance/evaluations");
     let before_committed = counter("summarize/steps_committed");
 
@@ -97,16 +96,26 @@ fn counters_reconcile_with_history() {
         res.history.steps.len() as u64
     );
 
-    // Memo accounting: every lookup is either a hit or a miss.
-    let lookups = counter("distance/memo_lookups") - before_lookups;
-    let hits = counter("distance/memo_hits") - before_hits;
-    let misses = counter("distance/memo_misses") - before_misses;
-    assert!(lookups > 0, "distance engine must be consulted");
-    assert_eq!(hits + misses, lookups, "memo hits + misses == lookups");
-
+    // Scorer accounting: every scored candidate either reuses or
+    // evaluates each valuation's term, and both kinds occur here.
+    let reused = counter("distance/valuations_reused") - before_reused;
+    let evaluated = counter("distance/valuations_evaluated") - before_evaluated;
+    assert_eq!(
+        reused + evaluated,
+        recorded * vals.len() as u64,
+        "reused + evaluated == scored candidates × |V|"
+    );
     assert!(
-        counter("distance/evaluations") - before_evals > 0,
-        "candidate measurement must evaluate distances"
+        reused > 0 && evaluated > 0,
+        "reused {reused}, evaluated {evaluated}"
+    );
+
+    // One distance evaluation per scored candidate, plus the start
+    // summary's.
+    assert_eq!(
+        counter("distance/evaluations") - before_evals,
+        recorded + 1,
+        "distance/evaluations counts scored candidates"
     );
 
     // StepTimer semantics: candidate measurement is a sub-interval of the

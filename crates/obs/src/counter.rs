@@ -36,7 +36,7 @@ impl Counter {
         }
     }
 
-    /// The counter's hierarchical name, e.g. `"distance/memo_hits"`.
+    /// The counter's hierarchical name, e.g. `"distance/evaluations"`.
     pub fn name(&self) -> &'static str {
         self.name
     }

@@ -11,7 +11,7 @@ use crate::mapping::Mapping;
 use crate::monoid::{AggKind, AggValue};
 use crate::polynomial::Polynomial;
 use crate::tensor::Tensor;
-use crate::valuation::Valuation;
+use crate::valuation::Truth;
 
 /// An aggregated value: a formal sum of tensors plus the aggregation used
 /// to interpret it.
@@ -104,14 +104,8 @@ impl AggExpr {
 
     /// Evaluate under a valuation: fold the values of live tensors; an empty
     /// fold yields the neutral [`AggValue::empty`] (result 0).
-    pub fn eval(&self, v: &Valuation) -> AggValue {
-        let mut acc = AggValue::empty();
-        for t in &self.tensors {
-            if t.live(v) {
-                acc = acc.combine(t.value, self.kind);
-            }
-        }
-        acc
+    pub fn eval<T: Truth + ?Sized>(&self, v: &T) -> AggValue {
+        fold_live(self.kind, self.tensors.iter().map(|t| (t, t.value)), v)
     }
 
     /// Number of tensors in the formal sum.
@@ -125,9 +119,27 @@ impl AggExpr {
     }
 }
 
+/// Fold, in order, the values paired with the tensors that are live under
+/// `v`. A merged tensor is evaluated through any tensor it was merged
+/// from, paired with the merged value.
+pub(crate) fn fold_live<'t, T: Truth + ?Sized>(
+    kind: AggKind,
+    tensors: impl Iterator<Item = (&'t Tensor, AggValue)>,
+    v: &T,
+) -> AggValue {
+    let mut acc = AggValue::empty();
+    for (t, value) in tensors {
+        if t.live(v) {
+            acc = acc.combine(value, kind);
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::valuation::Valuation;
 
     fn a(ix: usize) -> AnnId {
         AnnId::from_index(ix)

@@ -14,16 +14,17 @@
 //! `⟨min feasible cost, true⟩`, or `⟨·, false⟩` when no execution is
 //! feasible.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use crate::annot::AnnId;
 use crate::eval::EvalOutcome;
 use crate::mapping::Mapping;
+use crate::merge::{KeyArena, MergePlan};
 use crate::semiring::{Semiring, Tropical};
-use crate::valuation::Valuation;
+use crate::valuation::Truth;
 
 /// Polarity of a database condition.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DbCondOp {
     /// `[dᵢ·dⱼ] ≠ 0` — all referenced tuples must be present.
     NonZero,
@@ -42,7 +43,7 @@ impl DbCondOp {
 }
 
 /// One transition of an execution.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DdpTransition {
     /// `⟨c_k, 1⟩`: a user choice with an associated cost variable.
     User {
@@ -115,11 +116,19 @@ impl DdpExecution {
         self.transitions.iter().map(DdpTransition::size).sum()
     }
 
+    /// Does a transition mention one of `anns`?
+    pub fn mentions(&self, anns: &[AnnId]) -> bool {
+        self.transitions.iter().any(|t| match t {
+            DdpTransition::User { cost_var } => anns.contains(cost_var),
+            DdpTransition::Db { vars, .. } => vars.iter().any(|d| anns.contains(d)),
+        })
+    }
+
     /// Structural key for execution deduplication: transitions compared as
     /// a multiset (the `·` product is commutative).
     fn dedup_key(&self) -> Vec<DdpTransition> {
         let mut key = self.transitions.clone();
-        key.sort_by(|a, b| format!("{a:?}").cmp(&format!("{b:?}")));
+        key.sort_unstable();
         key
     }
 }
@@ -213,23 +222,70 @@ impl DdpExpr {
             let slot = out.costs.entry(target).or_insert(cost);
             *slot = slot.max(cost);
         }
-        let mut seen: Vec<Vec<DdpTransition>> = Vec::new();
+        let mut seen: HashSet<Vec<DdpTransition>> = HashSet::with_capacity(self.executions.len());
         for e in &self.executions {
             let mapped = DdpExecution::new(e.transitions.iter().map(|t| t.map(h)).collect());
-            let key = mapped.dedup_key();
-            if !seen.contains(&key) {
-                seen.push(key);
+            if seen.insert(mapped.dedup_key()) {
                 out.executions.push(mapped);
             }
         }
         out
     }
 
+    /// Plan the merge of `members` onto `members[0]` into `plan` (see
+    /// [`crate::Summarizable::plan_merge`]). As in [`DdpExpr::map`], the
+    /// merged cost variable costs the MAX over its members' costs, and
+    /// executions that become equal are kept once.
+    pub fn plan_merge(&self, members: &[AnnId], plan: &mut DdpMerge) {
+        plan.members.clear();
+        plan.members.extend_from_slice(members);
+        plan.cost = self
+            .costs
+            .iter()
+            .filter(|(var, _)| members.contains(var))
+            .map(|(_, &cost)| cost)
+            .reduce(f64::max)
+            .unwrap_or(0.0);
+        plan.truth_only = members.iter().all(|&m| self.cost_of(m) == plan.cost);
+        plan.arena.clear();
+        plan.sizes.clear();
+        plan.removed = 0;
+        for e in self.executions.iter().filter(|e| e.mentions(members)) {
+            plan.removed += e.size();
+            plan.sizes.push(plan.arena.push_execution(e, members));
+        }
+        plan.arena.first_seen(&mut plan.leaders);
+        plan.added = (0..plan.arena.len())
+            .filter(|&i| plan.leaders[i] == i)
+            .map(|i| plan.sizes[i])
+            .sum();
+    }
+
+    /// Evaluate the planned merge under `v`, a view in which every member
+    /// reads as the merged annotation: this expression's executions with
+    /// the members costing the merged cost. Executions the merge makes
+    /// equal are feasible together and cost the same, so keeping them all
+    /// leaves the minimum unchanged.
+    pub fn eval_merged<T: Truth + ?Sized>(&self, plan: &DdpMerge, v: &T) -> EvalOutcome {
+        self.eval_costed(v, |var| {
+            if plan.members.contains(&var) {
+                plan.cost
+            } else {
+                self.cost_of(var)
+            }
+        })
+    }
+
     /// Evaluate under a valuation: DB variables read their truth value; a
     /// cost variable assigned `false` contributes 0 (its transition is
     /// "free"), assigned `true` contributes its registered cost. The result
     /// is the tropical sum over feasible executions.
-    pub fn eval(&self, v: &Valuation) -> EvalOutcome {
+    pub fn eval<T: Truth + ?Sized>(&self, v: &T) -> EvalOutcome {
+        self.eval_costed(v, |var| self.cost_of(var))
+    }
+
+    /// [`DdpExpr::eval`] with the cost of each cost variable given by `cost`.
+    fn eval_costed<T: Truth + ?Sized>(&self, v: &T, cost_of: impl Fn(AnnId) -> f64) -> EvalOutcome {
         let mut best = Tropical::Infinity;
         for e in &self.executions {
             let mut feasible = true;
@@ -238,7 +294,7 @@ impl DdpExpr {
                 match t {
                     DdpTransition::User { cost_var } => {
                         if v.truth(*cost_var) {
-                            cost += self.cost_of(*cost_var);
+                            cost += cost_of(*cost_var);
                         }
                     }
                     DdpTransition::Db { vars, op } => {
@@ -262,6 +318,30 @@ impl DdpExpr {
     }
 }
 
+/// A planned single-step merge of a [`DdpExpr`]: the merged cost and the
+/// size of the executions that mention a member, before and after.
+#[derive(Clone, Debug, Default)]
+pub struct DdpMerge {
+    members: Vec<AnnId>,
+    cost: f64,
+    truth_only: bool,
+    removed: usize,
+    added: usize,
+    arena: KeyArena,
+    sizes: Vec<usize>,
+    leaders: Vec<usize>,
+}
+
+impl MergePlan for DdpMerge {
+    fn merged_size(&self, size: usize) -> usize {
+        size - self.removed + self.added
+    }
+
+    fn identifies_truths_only(&self) -> bool {
+        self.truth_only
+    }
+}
+
 impl Default for DdpExpr {
     fn default() -> Self {
         DdpExpr::new()
@@ -271,6 +351,7 @@ impl Default for DdpExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::valuation::Valuation;
 
     fn a(ix: usize) -> AnnId {
         AnnId::from_index(ix)
@@ -353,6 +434,30 @@ mod tests {
         assert_eq!(summary.executions().len(), 1);
         assert_eq!(summary.size(), 3); // C1 + D1·d2
         assert_eq!(summary.cost_of(a(11)), 4.0, "merged cost takes MAX");
+    }
+
+    #[test]
+    fn permuted_executions_collapse_in_first_seen_order() {
+        let c = DdpTransition::user(a(0));
+        let d = DdpTransition::db(vec![a(2), a(3)], DbCondOp::NonZero);
+        let z = DdpTransition::db(vec![a(4)], DbCondOp::Zero);
+        let mut p = DdpExpr::new();
+        p.push(DdpExecution::new(vec![z.clone()]));
+        p.push(DdpExecution::new(vec![c.clone(), d.clone(), z.clone()]));
+        p.push(DdpExecution::new(vec![z.clone(), c.clone(), d.clone()]));
+        p.push(DdpExecution::new(vec![d.clone(), z.clone(), c.clone()]));
+        p.push(DdpExecution::new(vec![c.clone()]));
+        let m = p.map(&Mapping::identity());
+        let kept: Vec<&[DdpTransition]> = m
+            .executions()
+            .iter()
+            .map(|e| e.transitions.as_slice())
+            .collect();
+        assert_eq!(
+            kept,
+            vec![&[z.clone()][..], &[c.clone(), d, z][..], &[c][..]],
+            "permutations collapse onto the first one seen"
+        );
     }
 
     #[test]

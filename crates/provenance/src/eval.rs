@@ -16,8 +16,8 @@ use crate::monoid::{AggKind, AggValue};
 /// A coordinate vector resulting from evaluating a [`crate::ProvExpr`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct EvalVector {
-    coords: Vec<(AnnId, AggValue)>,
-    kind: AggKind,
+    pub(crate) coords: Vec<(AnnId, AggValue)>,
+    pub(crate) kind: AggKind,
 }
 
 impl EvalVector {
@@ -68,22 +68,61 @@ impl EvalVector {
         }
     }
 
-    /// Euclidean distance to another vector, aligning coordinates by key.
-    /// Keys present on one side only contribute their full magnitude (the
-    /// other side reads as 0).
+    /// Project into the key space of a further single-step merge, into
+    /// `out`: the result of [`EvalVector::project`] under `h` followed by
+    /// the merge of `members` onto `members[0]`. `projected` is
+    /// `self.project(h)` and `keys` the image under `h` of each of `self`'s
+    /// coordinates; both are reused, so the merged coordinate is the only
+    /// one folded again — over `self`'s coordinates, in `project`'s order.
+    pub fn project_merged(
+        &self,
+        keys: &[AnnId],
+        projected: &EvalVector,
+        members: &[AnnId],
+        out: &mut EvalVector,
+    ) {
+        let mut merged: Option<AggValue> = None;
+        for (&(_, v), key) in self.coords.iter().zip(keys) {
+            if members.contains(key) {
+                merged = Some(merged.map_or(v, |m| m.combine(v, self.kind)));
+            }
+        }
+        out.kind = self.kind;
+        out.coords.clear();
+        for &(key, v) in &projected.coords {
+            if !members.contains(&key) {
+                out.coords.push((key, v));
+            } else if let Some(m) = merged.take() {
+                out.coords.push((members[0], m));
+            }
+        }
+    }
+
+    /// Euclidean distance to another vector, aligning coordinates by key
+    /// (keys within a vector are distinct). Keys present on one side only
+    /// contribute their full magnitude (the other side reads as 0). Terms
+    /// are summed in `self`'s order, then `other`'s.
     pub fn euclidean(&self, other: &EvalVector) -> f64 {
         let mut acc = 0.0f64;
-        let theirs: HashMap<AnnId, f64> =
-            other.coords.iter().map(|&(o, v)| (o, v.result())).collect();
-        let mut seen: Vec<AnnId> = Vec::with_capacity(self.coords.len());
-        for &(o, v) in &self.coords {
-            let d = v.result() - theirs.get(&o).copied().unwrap_or(0.0);
+        // Vectors over the same keys in the same order (the usual case)
+        // pair up by position; others fall back to a search.
+        let mut aligned = self.coords.len() == other.coords.len();
+        for (ix, &(o, v)) in self.coords.iter().enumerate() {
+            let theirs = match other.coords.get(ix) {
+                Some(&(key, w)) if key == o => w.result(),
+                _ => {
+                    aligned = false;
+                    other.scalar_for(o).unwrap_or(0.0)
+                }
+            };
+            let d = v.result() - theirs;
             acc += d * d;
-            seen.push(o);
         }
-        for &(o, v) in &other.coords {
-            if !seen.contains(&o) {
-                acc += v.result() * v.result();
+        if !aligned {
+            for &(o, v) in &other.coords {
+                if !self.coords.iter().any(|&(key, _)| key == o) {
+                    acc += v.result() * v.result();
+                }
             }
         }
         acc.sqrt()

@@ -3,14 +3,18 @@
 //! vector provenance ([`ProvExpr`]) and DDP provenance ([`DdpExpr`]).
 
 use crate::annot::AnnId;
-use crate::ddp::DdpExpr;
-use crate::eval::EvalOutcome;
+use crate::ddp::{DdpExpr, DdpMerge};
+use crate::eval::{EvalOutcome, EvalVector};
 use crate::mapping::Mapping;
-use crate::provexpr::ProvExpr;
-use crate::valuation::Valuation;
+use crate::merge::MergePlan;
+use crate::provexpr::{ProvExpr, ProvMerge};
+use crate::valuation::{Truth, Valuation};
 
 /// A provenance expression that can be summarized by annotation mappings.
 pub trait Summarizable: Clone {
+    /// A planned single-step merge (see [`Summarizable::plan_merge`]).
+    type Merge: MergePlan;
+
     /// Provenance size: annotation occurrences, with repetitions
     /// (the quantity minimized by summarization).
     fn size(&self) -> usize;
@@ -22,7 +26,26 @@ pub trait Summarizable: Clone {
     fn apply_mapping(&self, h: &Mapping) -> Self;
 
     /// Evaluate under a valuation.
-    fn evaluate(&self, v: &Valuation) -> EvalOutcome;
+    fn evaluate<T: Truth + ?Sized>(&self, v: &T) -> EvalOutcome;
+
+    /// Plan the single-step merge of `members` onto `members[0]` — what
+    /// `apply_mapping(&Mapping::group(&members[1..], members[0]))` would
+    /// build — into `plan`, reusing its buffers. The expression must be
+    /// simplified (any `apply_mapping` output is).
+    fn plan_merge(&self, members: &[AnnId], plan: &mut Self::Merge);
+
+    /// Evaluate the planned merge into `out`, exactly as the merged
+    /// expression evaluates under the lifted valuation, where `v` is a view
+    /// in which every member reads as the merged annotation. `current` is
+    /// this expression's outcome under a valuation agreeing with `v` off
+    /// the members; implementations may read unchanged parts from it.
+    fn evaluate_merged<T: Truth + ?Sized>(
+        &self,
+        plan: &Self::Merge,
+        v: &T,
+        current: &EvalOutcome,
+        out: &mut EvalOutcome,
+    );
 
     /// The largest value the chosen VAL-FUNC can take on this expression,
     /// used to normalize distances into `[0,1]` (§6.3). Implementations
@@ -32,6 +55,8 @@ pub trait Summarizable: Clone {
 }
 
 impl Summarizable for ProvExpr {
+    type Merge = ProvMerge;
+
     fn size(&self) -> usize {
         ProvExpr::size(self)
     }
@@ -44,8 +69,31 @@ impl Summarizable for ProvExpr {
         self.map(h)
     }
 
-    fn evaluate(&self, v: &Valuation) -> EvalOutcome {
+    fn evaluate<T: Truth + ?Sized>(&self, v: &T) -> EvalOutcome {
         EvalOutcome::Vector(self.eval(v))
+    }
+
+    fn plan_merge(&self, members: &[AnnId], plan: &mut ProvMerge) {
+        ProvExpr::plan_merge(self, members, plan);
+    }
+
+    fn evaluate_merged<T: Truth + ?Sized>(
+        &self,
+        plan: &ProvMerge,
+        v: &T,
+        current: &EvalOutcome,
+        out: &mut EvalOutcome,
+    ) {
+        let current = match current {
+            EvalOutcome::Vector(c) => c.coords(),
+            _ => &[],
+        };
+        if !matches!(out, EvalOutcome::Vector(_)) {
+            *out = EvalOutcome::Vector(EvalVector::new(Vec::new(), self.kind()));
+        }
+        if let EvalOutcome::Vector(out) = out {
+            self.eval_merged(plan, v, current, out);
+        }
     }
 
     fn max_error(&self) -> f64 {
@@ -69,6 +117,8 @@ impl Summarizable for ProvExpr {
 }
 
 impl Summarizable for DdpExpr {
+    type Merge = DdpMerge;
+
     fn size(&self) -> usize {
         DdpExpr::size(self)
     }
@@ -81,8 +131,22 @@ impl Summarizable for DdpExpr {
         self.map(h)
     }
 
-    fn evaluate(&self, v: &Valuation) -> EvalOutcome {
+    fn evaluate<T: Truth + ?Sized>(&self, v: &T) -> EvalOutcome {
         self.eval(v)
+    }
+
+    fn plan_merge(&self, members: &[AnnId], plan: &mut DdpMerge) {
+        DdpExpr::plan_merge(self, members, plan);
+    }
+
+    fn evaluate_merged<T: Truth + ?Sized>(
+        &self,
+        plan: &DdpMerge,
+        v: &T,
+        _current: &EvalOutcome,
+        out: &mut EvalOutcome,
+    ) {
+        *out = self.eval_merged(plan, v);
     }
 
     fn max_error(&self) -> f64 {

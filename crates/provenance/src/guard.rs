@@ -11,7 +11,7 @@ use std::fmt;
 
 use crate::mapping::Mapping;
 use crate::polynomial::Polynomial;
-use crate::valuation::Valuation;
+use crate::valuation::Truth;
 
 /// Comparison operators allowed in guards.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -89,7 +89,7 @@ impl Guard {
     }
 
     /// Evaluate the guard under a valuation.
-    pub fn eval(&self, v: &Valuation) -> bool {
+    pub fn eval<T: Truth + ?Sized>(&self, v: &T) -> bool {
         let lhs: f64 = self
             .lhs
             .iter()
@@ -148,6 +148,7 @@ impl std::hash::Hash for Guard {
 mod tests {
     use super::*;
     use crate::annot::AnnId;
+    use crate::valuation::Valuation;
 
     fn a(ix: usize) -> AnnId {
         AnnId::from_index(ix)

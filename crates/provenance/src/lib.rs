@@ -69,6 +69,7 @@ pub mod eval;
 pub mod expr;
 pub mod guard;
 pub mod mapping;
+pub mod merge;
 pub mod monoid;
 pub mod monomial;
 pub mod parse;
@@ -86,20 +87,21 @@ pub use aggexpr::AggExpr;
 pub use annot::{AnnId, AnnKind, Annotation, AttrId, AttrValueId, DomainId};
 pub use backend::{MemoryBackend, StoreBackend};
 pub use classes::ValuationClass;
-pub use ddp::{DbCondOp, DdpExecution, DdpExpr, DdpTransition};
+pub use ddp::{DbCondOp, DdpExecution, DdpExpr, DdpMerge, DdpTransition};
 pub use eval::{EvalOutcome, EvalVector};
 pub use expr::Summarizable;
 pub use guard::{CmpOp, Guard};
 pub use mapping::Mapping;
+pub use merge::MergePlan;
 pub use monoid::{AggKind, AggValue};
 pub use monomial::Monomial;
 pub use parse::{parse_aggexpr, parse_provexpr, ParseError};
 pub use persist::{from_json, load_workload, save_workload, to_json, SavedWorkload};
 pub use phi::{Phi, PhiMap};
 pub use polynomial::Polynomial;
-pub use provexpr::ProvExpr;
+pub use provexpr::{ProvExpr, ProvMerge};
 pub use semiring::{Bool, Count, Semiring, Tropical};
 pub use stats::ExprStats;
 pub use store::AnnStore;
 pub use tensor::Tensor;
-pub use valuation::Valuation;
+pub use valuation::{MergedTruth, Truth, TruthBits, Valuation};

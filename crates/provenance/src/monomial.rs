@@ -8,7 +8,7 @@ use std::fmt;
 
 use crate::annot::AnnId;
 use crate::mapping::Mapping;
-use crate::valuation::Valuation;
+use crate::valuation::Truth;
 
 /// A product of annotations (with multiplicity), `1` when empty.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -75,7 +75,7 @@ impl Monomial {
     }
 
     /// Boolean evaluation: true iff every factor is assigned true.
-    pub fn eval_bool(&self, v: &Valuation) -> bool {
+    pub fn eval_bool<T: Truth + ?Sized>(&self, v: &T) -> bool {
         self.factors.iter().all(|&a| v.truth(a))
     }
 
@@ -104,6 +104,7 @@ impl fmt::Debug for Monomial {
 mod tests {
     use super::*;
     use crate::annot::AnnId;
+    use crate::valuation::Valuation;
 
     fn a(ix: usize) -> AnnId {
         AnnId::from_index(ix)

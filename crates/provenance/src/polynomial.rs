@@ -11,7 +11,7 @@ use crate::annot::AnnId;
 use crate::mapping::Mapping;
 use crate::monomial::Monomial;
 use crate::semiring::{Bool, Count, Semiring};
-use crate::valuation::Valuation;
+use crate::valuation::Truth;
 
 /// An `N[Ann]` polynomial: a formal sum of monomials with coefficients in ℕ.
 #[derive(Clone, PartialEq, Eq, Hash, Default)]
@@ -115,6 +115,13 @@ impl Polynomial {
         out
     }
 
+    /// Does any monomial mention one of `anns`?
+    pub fn mentions(&self, anns: &[AnnId]) -> bool {
+        self.terms
+            .iter()
+            .any(|(m, _)| m.factors().iter().any(|a| anns.contains(a)))
+    }
+
     /// Number of annotation occurrences, with repetitions (the polynomial's
     /// contribution to provenance size).
     pub fn size(&self) -> usize {
@@ -122,13 +129,13 @@ impl Polynomial {
     }
 
     /// Boolean evaluation under a valuation: `+`↦∨, `·`↦∧.
-    pub fn eval_bool(&self, v: &Valuation) -> bool {
+    pub fn eval_bool<T: Truth + ?Sized>(&self, v: &T) -> bool {
         self.terms.iter().any(|(m, _)| m.eval_bool(v))
     }
 
     /// Counting evaluation: annotations map to 0/1, coefficients and
     /// multiplicities count derivations.
-    pub fn eval_count(&self, v: &Valuation) -> u64 {
+    pub fn eval_count<T: Truth + ?Sized>(&self, v: &T) -> u64 {
         self.terms
             .iter()
             .map(|(m, c)| if m.eval_bool(v) { *c } else { 0 })
@@ -191,18 +198,19 @@ impl From<AnnId> for Polynomial {
 
 /// Evaluate a polynomial into the boolean semiring via a valuation, exposed
 /// as a free function for symmetry with [`eval_count`].
-pub fn eval_bool(p: &Polynomial, v: &Valuation) -> Bool {
+pub fn eval_bool<T: Truth + ?Sized>(p: &Polynomial, v: &T) -> Bool {
     Bool(p.eval_bool(v))
 }
 
 /// Evaluate a polynomial into the counting semiring via a valuation.
-pub fn eval_count(p: &Polynomial, v: &Valuation) -> Count {
+pub fn eval_count<T: Truth + ?Sized>(p: &Polynomial, v: &T) -> Count {
     Count(p.eval_count(v))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::valuation::Valuation;
 
     fn a(ix: usize) -> AnnId {
         AnnId::from_index(ix)

@@ -9,14 +9,16 @@
 //! Example 5.2.1.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
-use crate::aggexpr::AggExpr;
+use crate::aggexpr::{fold_live, AggExpr};
 use crate::annot::AnnId;
 use crate::eval::EvalVector;
 use crate::mapping::Mapping;
+use crate::merge::{KeyArena, MergePlan};
 use crate::monoid::{AggKind, AggValue};
 use crate::tensor::Tensor;
-use crate::valuation::Valuation;
+use crate::valuation::{Truth, Valuation};
 
 /// A provenance expression over multiple objects.
 #[derive(Clone, Debug, PartialEq)]
@@ -133,20 +135,164 @@ impl ProvExpr {
     /// mention the object, so they die with it) — but we also respect a
     /// direct cancellation of the key itself for datasets whose tensors do
     /// not embed the object.
-    pub fn eval(&self, v: &Valuation) -> EvalVector {
+    pub fn eval<T: Truth + ?Sized>(&self, v: &T) -> EvalVector {
         let coords = self
             .entries
             .iter()
             .map(|(o, e)| {
-                let agg = if v.truth(*o) {
-                    e.eval(v)
-                } else {
-                    AggValue::empty()
-                };
-                (*o, agg)
+                (
+                    *o,
+                    coordinate(*o, e.kind, e.tensors.iter().map(|t| (t, t.value)), v),
+                )
             })
             .collect();
         EvalVector::new(coords, self.kind)
+    }
+
+    /// Plan the merge of `members` onto `members[0]` into `plan` (see
+    /// [`crate::Summarizable::plan_merge`]). The plan mirrors [`ProvExpr::map`]:
+    /// tensors that mention a member are re-keyed and fold into the first
+    /// equal tensor of their entry; entries keyed by a member fold into the
+    /// first such entry, every tensor taking part.
+    pub fn plan_merge(&self, members: &[AnnId], plan: &mut ProvMerge) {
+        plan.members.clear();
+        plan.members.extend_from_slice(members);
+        plan.removed = 0;
+        plan.added = 0;
+        plan.entries.clear();
+        plan.tensors.clear();
+        plan.objects.clear();
+        plan.objects.extend(
+            self.entries
+                .iter()
+                .enumerate()
+                .filter(|(_, (o, _))| members.contains(o))
+                .map(|(ix, _)| ix),
+        );
+        plan.truth_only = plan.objects.is_empty();
+        let mut objects = std::mem::take(&mut plan.objects);
+        for (ix, (o, e)) in self.entries.iter().enumerate() {
+            if objects.first() == Some(&ix) {
+                self.plan_entry(plan, &objects, members[0], true);
+            } else if !objects.contains(&ix) && e.tensors.iter().any(|t| t.mentions(members)) {
+                self.plan_entry(plan, &[ix], *o, false);
+            }
+        }
+        std::mem::swap(&mut plan.objects, &mut objects);
+    }
+
+    /// Plan one entry of the merged expression, keyed `key`, built from the
+    /// `sources` entries: with `all`, every tensor is re-keyed (merged
+    /// objects); otherwise only those that mention a member.
+    fn plan_entry(&self, plan: &mut ProvMerge, sources: &[usize], key: AnnId, all: bool) {
+        let members = &plan.members;
+        plan.arena.clear();
+        plan.items.clear();
+        for &ix in sources {
+            for (j, t) in self.entries[ix].1.tensors.iter().enumerate() {
+                if all || t.mentions(members) {
+                    plan.removed += t.size();
+                    let size = plan.arena.push_tensor(t, members);
+                    plan.items.push(MergeItem {
+                        entry: ix,
+                        tensor: j,
+                        size,
+                        fold: None,
+                        value: None,
+                    });
+                }
+            }
+        }
+        plan.arena.first_seen(&mut plan.leaders);
+        // Values fold into their group's first tensor, entry by entry —
+        // `AggExpr::from_tensors` per entry, then again across the merged
+        // entries, as `ProvExpr::map` concatenates them.
+        let mut collided = false;
+        for i in 0..plan.items.len() {
+            let (leader, item) = (plan.leaders[i], plan.items[i]);
+            let source = &self.entries[item.entry].1;
+            let value = source.tensors[item.tensor].value;
+            collided |= leader != i;
+            let group = &mut plan.items[leader];
+            group.fold = Some(match group.fold {
+                Some((entry, acc)) if entry == item.entry => {
+                    (entry, acc.combine(value, source.kind))
+                }
+                Some((_, acc)) => {
+                    group.value = Some(group.value.map_or(acc, |v| v.combine(acc, self.kind)));
+                    (item.entry, value)
+                }
+                None => (item.entry, value),
+            });
+        }
+        if collided && !all && !order_free(&self.entries[sources[0]].1) {
+            plan.truth_only = false;
+        }
+        let start = plan.tensors.len();
+        let mut next = 0;
+        for &ix in sources {
+            for (j, t) in self.entries[ix].1.tensors.iter().enumerate() {
+                let value = match plan.items.get(next) {
+                    Some(item) if (item.entry, item.tensor) == (ix, j) => {
+                        next += 1;
+                        if plan.leaders[next - 1] != next - 1 {
+                            continue;
+                        }
+                        plan.added += item.size;
+                        let (_, acc) = item.fold.unwrap_or((ix, t.value));
+                        item.value.map_or(acc, |v| v.combine(acc, self.kind))
+                    }
+                    _ => t.value,
+                };
+                plan.tensors.push(MergedTensor {
+                    value,
+                    entry: ix,
+                    tensor: j,
+                });
+            }
+        }
+        plan.entries.push(MergedEntry {
+            source: sources[0],
+            key,
+            // A lone entry keeps its own aggregation; merged entries are
+            // rebuilt with the expression's.
+            kind: match sources {
+                [ix] => self.entries[*ix].1.kind,
+                _ => self.kind,
+            },
+            tensors: start..plan.tensors.len(),
+        });
+    }
+
+    /// Evaluate the planned merge under `v`, a view in which every member
+    /// reads as the merged annotation, into `out`. Entries the merge leaves
+    /// alone are read from `current` — this expression's evaluation under
+    /// a valuation agreeing with `v` off the members — when it has them.
+    pub fn eval_merged<T: Truth + ?Sized>(
+        &self,
+        plan: &ProvMerge,
+        v: &T,
+        current: &[(AnnId, AggValue)],
+        out: &mut EvalVector,
+    ) {
+        out.kind = self.kind;
+        out.coords.clear();
+        let mut changed = plan.entries.iter().peekable();
+        for (ix, (o, e)) in self.entries.iter().enumerate() {
+            if let Some(m) = changed.next_if(|m| m.source == ix) {
+                let tensors = plan.tensors[m.tensors.clone()]
+                    .iter()
+                    .map(|t| (&self.entries[t.entry].1.tensors[t.tensor], t.value));
+                out.coords
+                    .push((m.key, coordinate(m.key, m.kind, tensors, v)));
+            } else if !plan.objects.contains(&ix) {
+                let value = match current.get(ix) {
+                    Some(&(key, value)) if key == *o => value,
+                    _ => coordinate(*o, e.kind, e.tensors.iter().map(|t| (t, t.value)), v),
+                };
+                out.coords.push((*o, value));
+            }
+        }
     }
 
     /// Iterate all tensors with their object key.
@@ -176,6 +322,98 @@ impl ProvExpr {
         }
         out
     }
+}
+
+/// One coordinate of an evaluation: the fold of the live tensors, or the
+/// empty value when the object itself is cancelled.
+fn coordinate<'t, T: Truth + ?Sized>(
+    object: AnnId,
+    kind: AggKind,
+    tensors: impl Iterator<Item = (&'t Tensor, AggValue)>,
+    v: &T,
+) -> AggValue {
+    if v.truth(object) {
+        fold_live(kind, tensors, v)
+    } else {
+        AggValue::empty()
+    }
+}
+
+/// Does folding this entry's values give the same result in any order?
+/// MAX and MIN always do; SUM and COUNT do when every value is an integer
+/// and no partial sum can leave the exactly representable range.
+fn order_free(e: &AggExpr) -> bool {
+    match e.kind {
+        AggKind::Max | AggKind::Min => true,
+        AggKind::Sum | AggKind::Count => {
+            let mut total = 0.0f64;
+            e.tensors.iter().all(|t| {
+                total += t.value.value.abs();
+                t.value.value.fract() == 0.0 && total <= (1u64 << 53) as f64
+            })
+        }
+    }
+}
+
+/// A planned single-step merge of a [`ProvExpr`]: the entries it changes,
+/// their tensors in the order `map` would leave them, and their sizes.
+#[derive(Clone, Debug, Default)]
+pub struct ProvMerge {
+    members: Vec<AnnId>,
+    /// Size of the re-keyed tensors before and after the merge.
+    removed: usize,
+    added: usize,
+    truth_only: bool,
+    /// Changed entries, in order.
+    entries: Vec<MergedEntry>,
+    tensors: Vec<MergedTensor>,
+    /// Entries keyed by a member: the first becomes the merged entry, the
+    /// rest fold into it.
+    objects: Vec<usize>,
+    arena: KeyArena,
+    items: Vec<MergeItem>,
+    leaders: Vec<usize>,
+}
+
+impl MergePlan for ProvMerge {
+    fn merged_size(&self, size: usize) -> usize {
+        size - self.removed + self.added
+    }
+
+    fn identifies_truths_only(&self) -> bool {
+        self.truth_only
+    }
+}
+
+/// An entry of the merged expression that differs from the unmerged one.
+#[derive(Clone, Debug)]
+struct MergedEntry {
+    /// Position of the unmerged entry it replaces.
+    source: usize,
+    key: AnnId,
+    kind: AggKind,
+    tensors: Range<usize>,
+}
+
+/// A tensor of a changed entry: its value, and the unmerged tensor whose
+/// liveness (read through the merged view) it shares.
+#[derive(Clone, Copy, Debug)]
+struct MergedTensor {
+    value: AggValue,
+    entry: usize,
+    tensor: usize,
+}
+
+/// A re-keyed tensor during planning, with its group's running fold:
+/// the fold within the current source entry, and the fold of the earlier
+/// entries.
+#[derive(Clone, Copy, Debug)]
+struct MergeItem {
+    entry: usize,
+    tensor: usize,
+    size: usize,
+    fold: Option<(usize, AggValue)>,
+    value: Option<AggValue>,
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@ use crate::guard::Guard;
 use crate::mapping::Mapping;
 use crate::monoid::AggValue;
 use crate::polynomial::Polynomial;
-use crate::valuation::Valuation;
+use crate::valuation::Truth;
 
 /// One summand of an aggregated value's formal sum.
 #[derive(Clone, Debug, PartialEq)]
@@ -43,7 +43,7 @@ impl Tensor {
 
     /// Is this tensor live under `v`? (Its provenance evaluates truthy and
     /// every guard is satisfied: `0 ⊗ m ≡ 0`.)
-    pub fn live(&self, v: &Valuation) -> bool {
+    pub fn live<T: Truth + ?Sized>(&self, v: &T) -> bool {
         self.prov.eval_bool(v) && self.guards.iter().all(|g| g.eval(v))
     }
 
@@ -54,6 +54,15 @@ impl Tensor {
             guards: self.guards.iter().map(|g| g.map(h)).collect(),
             value: self.value,
         }
+    }
+
+    /// Does the provenance or a guard mention one of `anns`?
+    pub fn mentions(&self, anns: &[AnnId]) -> bool {
+        self.prov.mentions(anns)
+            || self
+                .guards
+                .iter()
+                .any(|g| g.lhs.iter().any(|(p, _)| p.mentions(anns)))
     }
 
     /// Annotation occurrences (provenance + guards), with repetitions.
@@ -77,6 +86,7 @@ impl Tensor {
 mod tests {
     use super::*;
     use crate::guard::CmpOp;
+    use crate::valuation::Valuation;
 
     fn a(ix: usize) -> AnnId {
         AnnId::from_index(ix)

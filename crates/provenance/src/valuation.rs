@@ -13,6 +13,15 @@ use crate::mapping::Mapping;
 use crate::phi::{Phi, PhiMap};
 use crate::store::AnnStore;
 
+/// Read access to annotation truth values: the one thing every evaluator
+/// needs from a valuation. [`Valuation`] is the sparse, labelled form;
+/// [`TruthBits`] is a dense form for hot loops; [`MergedTruth`] reads a
+/// group of annotations as one.
+pub trait Truth {
+    /// Truth value of an annotation.
+    fn truth(&self, a: AnnId) -> bool;
+}
+
 /// A truth valuation with a default for unmentioned annotations.
 ///
 /// The paper's valuation classes ("cancel single annotation", "cancel single
@@ -133,6 +142,73 @@ impl Valuation {
     }
 }
 
+impl Truth for Valuation {
+    #[inline]
+    fn truth(&self, a: AnnId) -> bool {
+        Valuation::truth(self, a)
+    }
+}
+
+/// A dense truth assignment over `AnnId::index()`, one bit per annotation.
+/// Annotations past the end read as `false`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TruthBits {
+    words: Vec<u64>,
+}
+
+impl TruthBits {
+    /// All-false bits covering annotation indices `0..len`.
+    pub fn new(len: usize) -> Self {
+        TruthBits {
+            words: vec![0; len.div_ceil(64)],
+        }
+    }
+
+    /// Set the truth value of one annotation inside the covered range.
+    #[inline]
+    pub fn set(&mut self, a: AnnId, value: bool) {
+        let (word, bit) = (a.index() / 64, a.index() % 64);
+        if value {
+            self.words[word] |= 1 << bit;
+        } else {
+            self.words[word] &= !(1 << bit);
+        }
+    }
+}
+
+impl Truth for TruthBits {
+    #[inline]
+    fn truth(&self, a: AnnId) -> bool {
+        self.words
+            .get(a.index() / 64)
+            .is_some_and(|w| w >> (a.index() % 64) & 1 == 1)
+    }
+}
+
+/// A view of `base` in which every annotation of `members` reads as
+/// `value`: how an expression sees its truths once the members are merged
+/// into one annotation whose lifted truth is `value`.
+#[derive(Clone, Copy, Debug)]
+pub struct MergedTruth<'a, T: ?Sized> {
+    /// Truths of every other annotation.
+    pub base: &'a T,
+    /// The merged annotations.
+    pub members: &'a [AnnId],
+    /// The merged annotation's truth.
+    pub value: bool,
+}
+
+impl<T: Truth + ?Sized> Truth for MergedTruth<'_, T> {
+    #[inline]
+    fn truth(&self, a: AnnId) -> bool {
+        if self.members.contains(&a) {
+            self.value
+        } else {
+            self.base.truth(a)
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,6 +226,29 @@ mod tests {
         // Setting back to the default removes the exception.
         v.set(a0, true);
         assert_eq!(v.exceptions().count(), 0);
+    }
+
+    #[test]
+    fn truth_bits_and_merged_view() {
+        let mut bits = TruthBits::new(70);
+        bits.set(AnnId::from_index(3), true);
+        bits.set(AnnId::from_index(65), true);
+        bits.set(AnnId::from_index(3), false);
+        assert!(!bits.truth(AnnId::from_index(3)));
+        assert!(bits.truth(AnnId::from_index(65)));
+        assert!(
+            !bits.truth(AnnId::from_index(500)),
+            "past the end reads false"
+        );
+        let members = [AnnId::from_index(65), AnnId::from_index(7)];
+        let view = MergedTruth {
+            base: &bits,
+            members: &members,
+            value: false,
+        };
+        assert!(!view.truth(AnnId::from_index(65)));
+        assert!(!view.truth(AnnId::from_index(7)));
+        assert!(!view.truth(AnnId::from_index(3)));
     }
 
     #[test]
