@@ -73,7 +73,7 @@ pub use span::{SpanGuard, SpanTimer};
 pub use timer::StepTimer;
 pub use trace::{
     keep_sampled, trace_id_from, RetainReason, RetainedTrace, TraceContext, TraceRing, TraceSpan,
-    MAX_TRACE_SPANS,
+    TraceTally, MAX_TRACE_SPANS,
 };
 
 /// Counters for the out-of-core segment store (`crates/store`). Declared

@@ -132,16 +132,54 @@ impl TraceContext {
     /// returned guard drops. Beyond [`MAX_TRACE_SPANS`] the guard is inert
     /// and the trace's `dropped_spans` count grows instead.
     pub fn span(&self, name: &'static str) -> TraceSpan {
-        let start_us = u64::try_from(self.inner.t0.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let counters_at_start = registry::counter_values();
-        let alloc_at_start = alloc::totals();
-        let mut state = crate::lock(&self.inner.state);
-        if state.spans.len() >= MAX_TRACE_SPANS {
-            state.dropped += 1;
+        let Some(ix) = self.add_node(name, registry::counter_values(), alloc::totals(), true)
+        else {
             return TraceSpan {
                 open: None,
                 pushed: false,
             };
+        };
+        let pushed = prof::push(name);
+        TraceSpan {
+            open: Some((self.clone(), ix, Instant::now())),
+            pushed,
+        }
+    }
+
+    /// Open a *tally* named `name` under the innermost open span: one
+    /// child node standing for many short intervals of the same phase
+    /// that interleave with other work (the frame reads scattered through
+    /// a log replay). Unlike a span it never becomes the innermost open
+    /// span, and it costs one span slot however many intervals it times.
+    /// On drop its `dur_us` is the summed time of the intervals timed with
+    /// [`TraceTally::time`] and its `count` attribute their number.
+    pub fn tally(&self, name: &'static str) -> TraceTally {
+        let open = self
+            .add_node(name, Vec::new(), (0, 0), false)
+            .map(|ix| (self.clone(), ix));
+        TraceTally {
+            name,
+            open,
+            total_us: 0,
+            count: 0,
+        }
+    }
+
+    /// Append a span node under the innermost open span, optionally
+    /// making it the innermost. `None` (and one more dropped span) past
+    /// [`MAX_TRACE_SPANS`].
+    fn add_node(
+        &self,
+        name: &'static str,
+        counters_at_start: Vec<(&'static str, u64)>,
+        alloc_at_start: (u64, u64),
+        enter: bool,
+    ) -> Option<usize> {
+        let start_us = u64::try_from(self.inner.t0.elapsed().as_micros()).unwrap_or(u64::MAX);
+        let mut state = crate::lock(&self.inner.state);
+        if state.spans.len() >= MAX_TRACE_SPANS {
+            state.dropped += 1;
+            return None;
         }
         let parent = state.stack.last().copied();
         let ix = state.spans.len();
@@ -157,13 +195,10 @@ impl TraceContext {
             allocs: 0,
             attrs: Vec::new(),
         });
-        state.stack.push(ix);
-        drop(state);
-        let pushed = prof::push(name);
-        TraceSpan {
-            open: Some((self.clone(), ix, Instant::now())),
-            pushed,
+        if enter {
+            state.stack.push(ix);
         }
+        Some(ix)
     }
 
     /// Attach an attribute to the innermost open span (or to the trace
@@ -311,6 +346,70 @@ impl Drop for TraceSpan {
         }
         if let Some((ctx, ix, started)) = self.open.take() {
             ctx.close(ix, started);
+        }
+    }
+}
+
+/// Guard for one tally node (see [`TraceContext::tally`]). Inert — every
+/// [`TraceTally::time`] just runs its closure — when untraced or past the
+/// trace's span cap.
+#[derive(Debug)]
+pub struct TraceTally {
+    name: &'static str,
+    open: Option<(TraceContext, usize)>,
+    total_us: u64,
+    count: u64,
+}
+
+impl TraceTally {
+    /// A tally that records nothing (the untraced case).
+    pub fn inert(name: &'static str) -> TraceTally {
+        TraceTally {
+            name,
+            open: None,
+            total_us: 0,
+            count: 0,
+        }
+    }
+
+    /// Run `f` as one interval of the tallied phase. While it runs, the
+    /// phase is this thread's innermost profiler frame, so `PROX_PROFILE`
+    /// attributes the interval to it.
+    pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
+        if self.open.is_none() {
+            return f();
+        }
+        let frame = ProfFrame(prof::push(self.name));
+        let started = Instant::now();
+        let out = f();
+        drop(frame);
+        let us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
+        self.total_us = self.total_us.saturating_add(us);
+        self.count += 1;
+        out
+    }
+}
+
+impl Drop for TraceTally {
+    fn drop(&mut self) {
+        if let Some((ctx, ix)) = self.open.take() {
+            let mut state = crate::lock(&ctx.inner.state);
+            let node = &mut state.spans[ix];
+            node.dur_us = Some(self.total_us);
+            node.attrs
+                .push(("count".to_owned(), Json::from(self.count)));
+        }
+    }
+}
+
+/// Pops the profiler frame a tally interval pushed, even if the interval
+/// unwinds.
+struct ProfFrame(bool);
+
+impl Drop for ProfFrame {
+    fn drop(&mut self) {
+        if self.0 {
+            prof::pop();
         }
     }
 }
@@ -525,6 +624,41 @@ mod tests {
             Some(12)
         );
         assert!(children[0].get("dur_us").and_then(Json::as_u64).is_some());
+    }
+
+    #[test]
+    fn tally_sums_intervals_into_one_child_of_the_open_span() {
+        let ctx = TraceContext::new(4);
+        {
+            let _root = ctx.span("request");
+            let mut reads = ctx.tally("read");
+            for i in 0..3u64 {
+                assert_eq!(reads.time(|| i * 2), i * 2);
+            }
+            // The tally never became the innermost span: later spans and
+            // notes land beside it, under `request`.
+            let _sibling = ctx.span("decode");
+            ctx.note("frames", 3u64);
+        }
+        let tree = ctx.to_json();
+        let root = match tree.get("spans") {
+            Some(Json::Arr(s)) => &s[0],
+            other => panic!("spans not an array: {other:?}"),
+        };
+        let children = match root.get("children") {
+            Some(Json::Arr(c)) => c,
+            other => panic!("children missing: {other:?}"),
+        };
+        let names: Vec<_> = children
+            .iter()
+            .filter_map(|c| c.get("name").and_then(Json::as_str))
+            .collect();
+        assert_eq!(names, ["read", "decode"]);
+        let count = children[0].get("attrs").and_then(|a| a.get("count"));
+        assert_eq!(count.and_then(Json::as_u64), Some(3));
+        assert!(children[0].get("dur_us").and_then(Json::as_u64).is_some());
+        let inert = TraceTally::inert("read").time(|| 7);
+        assert_eq!(inert, 7);
     }
 
     #[test]

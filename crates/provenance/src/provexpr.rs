@@ -44,8 +44,14 @@ impl ProvExpr {
 
     /// Add a tensor to the given object's aggregation (creating the entry
     /// when absent). Call [`ProvExpr::simplify`] after bulk insertion.
+    /// Pushes grouped by object (the way folds build expressions) hit the
+    /// last entry and skip the scan.
     pub fn push(&mut self, object: AnnId, t: Tensor) {
-        match self.entries.iter_mut().find(|(o, _)| *o == object) {
+        let entry = match self.entries.last_mut() {
+            Some(last) if last.0 == object => Some(last),
+            _ => self.entries.iter_mut().find(|(o, _)| *o == object),
+        };
+        match entry {
             Some((_, e)) => e.push(t),
             None => {
                 let mut e = AggExpr::new(self.kind);
@@ -442,6 +448,42 @@ mod tests {
         );
         p.simplify();
         p
+    }
+
+    #[test]
+    fn push_keeps_first_appearance_order_grouped_or_interleaved() {
+        let t = |user: usize, score: f64| {
+            Tensor::new(Polynomial::var(a(user)), AggValue::single(score))
+        };
+        // (object, user) pushes: grouped runs, then objects revisited out
+        // of order, so both the last-entry fast path and the scan run.
+        let pushes = [
+            (10, 1),
+            (10, 2),
+            (11, 3),
+            (10, 4),
+            (12, 5),
+            (11, 6),
+            (11, 7),
+            (12, 8),
+            (10, 9),
+        ];
+        let mut p = ProvExpr::new(AggKind::Sum);
+        let mut want: Vec<(AnnId, Vec<Tensor>)> = Vec::new();
+        for (i, &(object, user)) in pushes.iter().enumerate() {
+            let tensor = t(user, i as f64);
+            p.push(a(object), tensor.clone());
+            match want.iter_mut().find(|(o, _)| *o == a(object)) {
+                Some((_, ts)) => ts.push(tensor),
+                None => want.push((a(object), vec![tensor])),
+            }
+        }
+        let got: Vec<(AnnId, Vec<Tensor>)> = p
+            .entries()
+            .iter()
+            .map(|(o, e)| (*o, e.tensors().to_vec()))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

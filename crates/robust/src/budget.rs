@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use prox_obs::{Counter, TraceContext, TraceSpan};
+use prox_obs::{Counter, TraceContext, TraceSpan, TraceTally};
 
 use crate::fault;
 
@@ -276,6 +276,15 @@ impl BudgetSession {
     /// ```
     pub fn span(&self, name: &'static str) -> Option<TraceSpan> {
         self.trace.as_ref().map(|t| t.span(name))
+    }
+
+    /// Open a trace tally (see [`TraceContext::tally`]) under this
+    /// session's innermost span; inert when the request is untraced.
+    pub fn tally(&self, name: &'static str) -> TraceTally {
+        match &self.trace {
+            Some(trace) => trace.tally(name),
+            None => TraceTally::inert(name),
+        }
     }
 
     /// Attach an attribute to the trace's innermost open span (no-op when

@@ -45,7 +45,7 @@ use prox_obs::{
     keep_sampled, trace_id_from, window, Counter, Json, RetainReason, RetainedTrace, TraceContext,
     TraceRing, PROMETHEUS_CONTENT_TYPE,
 };
-use prox_provenance::{AggKind, ProvExpr, ValuationClass};
+use prox_provenance::{AggKind, ValuationClass};
 use prox_robust::{CancelFlag, ErrorKind, ExecutionBudget, ProxError};
 use prox_store::SegmentStore;
 use prox_system::evaluator::{evaluate_both, Assignment, Evaluation};
@@ -828,10 +828,12 @@ fn store_key(params: &StoreParams, dir: &str) -> String {
         .render()
 }
 
-/// `POST /summarize/store`: fold the attached segment store through its
-/// page cache under the request budget and summarize a selection of it.
-/// The anytime contract holds end to end — a budget trip mid-fold
-/// surfaces as a `200` over the partial fold with `fold.stopped: true`.
+/// `POST /summarize/store`: summarize the store's first `objects`
+/// objects. The read streams and checksums the whole log under the
+/// request budget but reads only the selected objects' frames through
+/// the page cache (`fold.frames_read`). The anytime contract holds end
+/// to end — a budget trip mid-log surfaces as a `200` over the selected
+/// frames replayed so far, with `fold.stopped: true`.
 fn store_summarize_route(
     req: &Request,
     ctx: &ServiceCtx,
@@ -856,26 +858,21 @@ fn store_summarize_route(
     if let Some(t) = trace {
         t.note("cache", "miss");
     }
-    // The store guard is scoped to the fold and dropped before the
+    // The store guard is scoped to the read and dropped before the
     // response cache is touched again: cache and store locks are never
     // held together, in either order.
     let mut session = budget.start();
-    let (expr, outcome, mut anns) = {
+    let (selection, outcome, objects, mut anns) = {
         let mut store = lock(&state.store);
-        let (expr, outcome) = store.collect(&mut session)?;
-        let anns = store.anns().clone();
-        (expr, outcome, anns)
+        let (selection, outcome) = store.collect_objects(&mut session, params.objects)?;
+        (
+            selection,
+            outcome,
+            store.num_objects(),
+            store.anns().clone(),
+        )
     };
 
-    let mut selection = ProvExpr::new(expr.kind());
-    for (object, agg) in expr.entries().iter().take(params.objects) {
-        // Anytime contract: keep polling, but a trip here does not void
-        // the partial fold — the selection is a bounded slice of it.
-        let _ = session.note_step();
-        for tensor in agg.tensors() {
-            selection.push(*object, tensor.clone());
-        }
-    }
     let mut domains = Vec::new();
     for (_, ann) in anns.iter() {
         if !domains.contains(&ann.domain) {
@@ -914,8 +911,8 @@ fn store_summarize_route(
                 .with("logical_seen", outcome.logical_seen)
                 .with("records_seen", outcome.records_seen)
                 .with("stopped", outcome.stopped.is_some())
-                .with("objects", expr.num_objects())
-                .with("tensors", expr.size()),
+                .with("objects", objects)
+                .with("frames_read", outcome.frames_read),
         )
         .with("selected_objects", params.objects)
         .with("stop_reason", stop_reason_name(result.stop_reason))
@@ -925,8 +922,8 @@ fn store_summarize_route(
         .with("steps", result.history.len())
         .with("summary", Json::Arr(names))
         .render();
-    // A fold cut short by wall-clock is not reproducible from the
-    // request alone; only complete folds with cacheable summaries land
+    // A read cut short by wall-clock is not reproducible from the
+    // request alone; only complete reads with cacheable summaries land
     // in the response cache.
     if outcome.stopped.is_none() && cacheable(result.stop_reason) {
         lock(&ctx.cache).put(key, body.clone());

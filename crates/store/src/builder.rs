@@ -42,7 +42,7 @@ pub const ANNS_FILE: &str = "anns.bin";
 /// Logical log file name.
 pub const LOG_FILE: &str = "log.bin";
 /// Manifest format tag.
-pub const FORMAT: &str = "prox-store/v1";
+pub const FORMAT: &str = "prox-store/v2";
 
 /// What `StoreBuilder::finish` reports (and writes into `store.json`).
 #[derive(Clone, Debug)]
@@ -139,7 +139,7 @@ impl StoreBuilder {
                 self.writers[shard] = Some(SegmentWriter::create(&self.dir, shard as u8)?);
             }
             match &mut self.writers[shard] {
-                Some(w) => w.append(fp, &payload)?,
+                Some(w) => w.append(fp, object.index() as u32, &payload)?,
                 // Unreachable: just created above. Typed error, not a panic.
                 None => return Err(ProxError::internal("segment writer vanished")),
             };
@@ -241,7 +241,7 @@ fn manifest_json(s: &StoreSummary, agg: AggKind, log_checksum: u64) -> Json {
 
     let mut j = Json::obj();
     j.set("format", FORMAT);
-    j.set("version", 1u64);
+    j.set("version", 2u64);
     j.set("agg", agg.name());
     j.set("fingerprint", "fnv1a64");
     j.set("counts", counts);

@@ -12,14 +12,17 @@
 //!   frame (*dedup*).
 //! * **Segments** ([`segment`]) — frames are sharded by fingerprint
 //!   prefix into append-only `seg-XX.seg` files, each with a sorted
-//!   offset index and a checksummed footer.
+//!   offset index (every entry naming its frame's object) and a
+//!   checksummed footer.
 //! * **Logical log** ([`builder`]) — the expression *stream* is a
 //!   run-length list of fingerprints, so ten million logical
 //!   expressions over a hundred thousand distinct frames stay small.
 //! * **Paged reads** ([`pagecache`], [`reader`]) — frame loads go
-//!   through a bounded LRU page cache; scans poll their
+//!   through a bounded LRU page cache; scans, full folds, and selective
+//!   folds of the first N objects share one log replay that polls its
 //!   [`prox_robust::BudgetSession`] before every page load, preserving
-//!   the anytime contract (budget trips return the partial fold).
+//!   the anytime contract (budget trips return the partial fold), and
+//!   a selective fold reads only the selected objects' frames.
 //! * **Verification** ([`verify`]) — an offline full-checksum pass with
 //!   typed [`prox_robust::ProxError::Corrupt`] errors, wired through the
 //!   `PROX_FAULT` harness.

@@ -2,12 +2,17 @@
 //! offline verification.
 //!
 //! [`SegmentStore::open`] loads only the manifest, the annotation table,
-//! and the per-segment offset indexes; frame payloads stay on disk and
-//! are faulted in page-by-page through the bounded [`PageCache`], so a
-//! store far larger than memory can be summarized under a fixed cache
-//! ceiling. Every scan loop polls its [`BudgetSession`] — deadlines,
-//! step budgets, and cancel flags all interrupt a scan between page
-//! loads, and the partial fold is returned as the anytime best-so-far.
+//! and the per-segment offset indexes (one fingerprint-sorted array of
+//! fixed-size entries, each naming its frame's object); frame payloads
+//! stay on disk and are faulted in page-by-page through the bounded
+//! [`PageCache`], so a store far larger than memory can be summarized
+//! under a fixed cache ceiling. Scans, full folds, and selective folds of
+//! the first N objects share one log-replay loop that polls its
+//! [`BudgetSession`] per record — deadlines, step budgets, and cancel
+//! flags all interrupt a replay between page loads, and the partial fold
+//! is returned as the anytime best-so-far. A selective fold still streams
+//! and checksums the whole log but reads only the selected objects'
+//! frames.
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -15,7 +20,7 @@ use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use prox_obs::store_metrics::BYTES_READ;
-use prox_obs::Json;
+use prox_obs::{Json, TraceTally};
 use prox_provenance::{AggKind, AnnId, AnnStore, ProvExpr, StoreBackend, Tensor};
 use prox_robust::{fault, BudgetSession, BudgetStop, ProxError};
 
@@ -23,9 +28,11 @@ use crate::builder::{
     agg_from_name, ANNS_FILE, FORMAT, LOG_ENTRY_BYTES, LOG_FILE, LOG_MAGIC, MANIFEST_FILE,
 };
 use crate::codec::{decode_annstore, decode_entry};
-use crate::fp::{fnv64_update, FNV_OFFSET};
+use crate::fp::{fnv64_update, shard_of, FNV_OFFSET};
 use crate::pagecache::{CacheStats, PageCache, PageKey, DEFAULT_CACHE_BYTES, DEFAULT_PAGE_BYTES};
-use crate::segment::{parse_footer, parse_index_region, segment_file, FOOTER_BYTES, SEG_MAGIC};
+use crate::segment::{
+    parse_footer, parse_index_region, segment_file, IndexEntry, FOOTER_BYTES, SEG_MAGIC,
+};
 
 /// One segment as described by the manifest.
 #[derive(Clone, Debug)]
@@ -146,9 +153,15 @@ pub struct ScanOutcome {
     pub logical_seen: u64,
     /// Log records consumed.
     pub records_seen: u64,
+    /// Frames read from a segment and decoded.
+    pub frames_read: u64,
     /// `Some` when the budget interrupted the scan (anytime partial).
     pub stopped: Option<BudgetStop>,
 }
+
+/// Decodes the frame of the log record being replayed (see
+/// [`SegmentStore::replay`]).
+type DecodeFrame<'a> = dyn FnMut() -> Result<(AnnId, Tensor), ProxError> + 'a;
 
 /// An open store: manifest + annotation table + offset indexes in
 /// memory, frame data paged in on demand.
@@ -157,7 +170,14 @@ pub struct SegmentStore {
     info: StoreInfo,
     anns: AnnStore,
     files: BTreeMap<u8, File>,
-    index: BTreeMap<u64, (u8, u64, u32)>,
+    /// Every segment's index entries, concatenated in shard order. Shards
+    /// are the fingerprint's top nibble, so this is sorted by fingerprint.
+    index: Vec<IndexEntry>,
+    /// Lookup directory over `index`: fingerprints whose top bits are `b`
+    /// sit in `index[buckets[b]..buckets[b + 1]]`.
+    buckets: Buckets,
+    /// The distinct objects the index names, ascending.
+    objects: Vec<u32>,
     cache: PageCache,
     bytes_read: u64,
 }
@@ -193,13 +213,14 @@ impl SegmentStore {
             ));
         }
         let mut files = BTreeMap::new();
-        let mut index = BTreeMap::new();
+        let mut index = Vec::new();
+        let mut named = vec![false; anns.len()];
         let mut bytes_read = ann_bytes.len() as u64;
         for seg in &info.segments {
             let path = dir.join(&seg.file);
             let mut file = File::open(&path)
                 .map_err(|e| ProxError::io(format!("open {}", path.display()), &e))?;
-            let read = load_segment_index(&mut file, seg.shard, &mut index)?;
+            let read = load_segment_index(&mut file, seg.shard, &mut named, &mut index)?;
             bytes_read += read;
             files.insert(seg.shard, file);
         }
@@ -213,12 +234,19 @@ impl SegmentStore {
                 ),
             ));
         }
+        let objects = (0..named.len())
+            .filter(|&o| named[o])
+            .map(|o| o as u32)
+            .collect();
+        let buckets = Buckets::new(&index)?;
         Ok(SegmentStore {
             dir: dir.to_path_buf(),
             info,
             anns,
             files,
             index,
+            buckets,
+            objects,
             cache: PageCache::new(page_bytes, cache_bytes),
             bytes_read,
         })
@@ -234,6 +262,11 @@ impl SegmentStore {
 
     pub fn dir(&self) -> &Path {
         &self.dir
+    }
+
+    /// Number of distinct objects the store's frames belong to.
+    pub fn num_objects(&self) -> usize {
+        self.objects.len()
     }
 
     pub fn cache_stats(&self) -> CacheStats {
@@ -319,38 +352,47 @@ impl SegmentStore {
         Ok(out)
     }
 
-    /// Fetch and checksum-verify one frame payload by content address.
-    pub fn read_frame(&mut self, fp: u64) -> Result<Vec<u8>, ProxError> {
-        let (shard, offset, len) = *self.index.get(&fp).ok_or_else(|| {
-            ProxError::corrupt(
+    /// The index entry of a content address.
+    fn entry(&self, fp: u64) -> Result<IndexEntry, ProxError> {
+        let bucket = &self.index[self.buckets.range(fp)];
+        match bucket.binary_search_by_key(&fp, |e| e.fp) {
+            Ok(ix) => Ok(bucket[ix]),
+            Err(_) => Err(ProxError::corrupt(
                 "segment read",
                 format!("log references unknown fingerprint {fp:016x}"),
-            )
-        })?;
-        let frame = self.read_range(shard, offset, 4 + len as usize + 8)?;
+            )),
+        }
+    }
+
+    /// Fetch and checksum-verify the payload of an indexed frame.
+    fn read_payload(&mut self, e: IndexEntry) -> Result<Vec<u8>, ProxError> {
+        let shard = shard_of(e.fp);
+        let len = e.len as usize;
+        let frame = self.read_range(shard, e.offset, 4 + len + 8)?;
         let corrupt = |detail: String| {
             ProxError::corrupt(
                 "segment frame",
-                format!("{} frame {fp:016x}: {detail}", segment_file(shard)),
+                format!("{} frame {:016x}: {detail}", segment_file(shard), e.fp),
             )
         };
-        if frame.len() != 4 + len as usize + 8 {
+        if frame.len() != 4 + len + 8 {
             return Err(corrupt(format!("short read ({} bytes)", frame.len())));
         }
         let mut c = [0u8; 4];
         c.copy_from_slice(&frame[..4]);
         let declared = u32::from_le_bytes(c);
-        if declared != len {
+        if declared != e.len {
             return Err(corrupt(format!(
-                "index says {len} bytes, frame header says {declared}"
+                "index says {} bytes, frame header says {declared}",
+                e.len
             )));
         }
-        let mut payload = frame[4..4 + len as usize].to_vec();
+        let mut payload = frame[4..4 + len].to_vec();
         // Fault-injection hook: `PROX_FAULT=corrupt` flips bits here and
         // must surface as a typed checksum error, never a panic.
         fault::corrupt_bytes(&mut payload);
         let mut a = [0u8; 8];
-        a.copy_from_slice(&frame[4 + len as usize..]);
+        a.copy_from_slice(&frame[4 + len..]);
         let want = u64::from_le_bytes(a);
         let got = crate::fp::fnv64(&payload);
         if got != want {
@@ -361,10 +403,40 @@ impl SegmentStore {
         Ok(payload)
     }
 
+    /// Read and decode an indexed frame, timing the read and the decode
+    /// into their trace tallies, and check the decoded object against the
+    /// object the index files the frame under.
+    fn decode_frame(
+        &mut self,
+        e: IndexEntry,
+        reads: &mut TraceTally,
+        decodes: &mut TraceTally,
+    ) -> Result<(AnnId, Tensor), ProxError> {
+        let payload = reads.time(|| self.read_payload(e))?;
+        let (object, tensor) = decodes.time(|| decode_entry(&payload, self.anns.len()))?;
+        if object.index() != e.object as usize {
+            return Err(ProxError::corrupt(
+                "segment index",
+                format!(
+                    "{}: frame {:016x} is indexed under object {} but holds object {}",
+                    segment_file(shard_of(e.fp)),
+                    e.fp,
+                    e.object,
+                    object.index()
+                ),
+            ));
+        }
+        Ok((object, tensor))
+    }
+
     /// Decode one entry by content address.
     pub fn read_entry(&mut self, fp: u64) -> Result<(AnnId, Tensor), ProxError> {
-        let payload = self.read_frame(fp)?;
-        decode_entry(&payload, self.anns.len())
+        let e = self.entry(fp)?;
+        self.decode_frame(
+            e,
+            &mut TraceTally::inert("store_read"),
+            &mut TraceTally::inert("store_decode"),
+        )
     }
 
     fn open_log(&self) -> Result<(File, u64), ProxError> {
@@ -403,26 +475,34 @@ impl SegmentStore {
         Ok((file, records))
     }
 
-    /// Stream the logical log, delivering `(object, tensor, count)` for
-    /// every run-length record. Polls the budget session once per
-    /// record — i.e. before every page load — and returns the partial
-    /// outcome when the budget trips (anytime contract). The record
-    /// stream's running checksum is verified when the scan completes.
-    pub fn scan(
+    /// The one log-replay loop behind [`SegmentStore::scan`],
+    /// [`SegmentStore::collect`] and [`SegmentStore::collect_objects`].
+    /// For every run-length record it polls the budget session — before
+    /// any page load the record may trigger — advances the running log
+    /// checksum and the outcome's counters, resolves the fingerprint
+    /// through the index, and hands `visit` the index entry, the run
+    /// length, and a decoder for the entry's frame; the visitor decides
+    /// whether the frame is read at all. A budget trip returns the partial
+    /// outcome (anytime contract); a complete replay verifies the log
+    /// checksum against the manifest.
+    ///
+    /// Traced requests see the replay as a `store_log` span with two
+    /// tallies under it: `store_read` (page loads and frame checksums)
+    /// and `store_decode` (payload decoding).
+    fn replay(
         &mut self,
         session: &mut BudgetSession,
-        f: &mut dyn FnMut(AnnId, Tensor, u64) -> Result<(), ProxError>,
+        visit: &mut dyn FnMut(IndexEntry, u64, &mut DecodeFrame<'_>) -> Result<(), ProxError>,
     ) -> Result<ScanOutcome, ProxError> {
+        let _log_span = session.span("store_log");
+        let mut reads = session.tally("store_read");
+        let mut decodes = session.tally("store_decode");
         let (file, records) = self.open_log()?;
         let mut reader = std::io::BufReader::new(file);
         let mut outcome = ScanOutcome::default();
         let mut checksum = FNV_OFFSET;
         let mut rec = [0u8; LOG_ENTRY_BYTES];
         for _ in 0..records {
-            if let Err(stop) = session.check() {
-                outcome.stopped = Some(stop);
-                return Ok(outcome);
-            }
             if let Err(stop) = session.note_step() {
                 outcome.stopped = Some(stop);
                 return Ok(outcome);
@@ -438,8 +518,12 @@ impl SegmentStore {
             let fp = u64::from_le_bytes(a);
             a.copy_from_slice(&rec[8..]);
             let count = u64::from_le_bytes(a);
-            let (object, tensor) = self.read_entry(fp)?;
-            f(object, tensor, count)?;
+            let entry = self.entry(fp)?;
+            visit(entry, count, &mut || {
+                let decoded = self.decode_frame(entry, &mut reads, &mut decodes)?;
+                outcome.frames_read += 1;
+                Ok(decoded)
+            })?;
             outcome.records_seen += 1;
             outcome.logical_seen += count;
         }
@@ -455,6 +539,21 @@ impl SegmentStore {
         Ok(outcome)
     }
 
+    /// Stream the logical log, delivering `(object, tensor, count)` for
+    /// every run-length record (a fingerprint that recurs is read again,
+    /// through the page cache). Budget polling and the log checksum are
+    /// those of the shared replay loop.
+    pub fn scan(
+        &mut self,
+        session: &mut BudgetSession,
+        f: &mut dyn FnMut(AnnId, Tensor, u64) -> Result<(), ProxError>,
+    ) -> Result<ScanOutcome, ProxError> {
+        self.replay(session, &mut |_, count, decode| {
+            let (object, tensor) = decode()?;
+            f(object, tensor, count)
+        })
+    }
+
     /// Fold the whole store into one in-memory [`ProvExpr`]. Duplicate
     /// fingerprints are *not* re-read or re-decoded: each unique frame
     /// is materialized once and its logical multiplicity folded into the
@@ -464,51 +563,40 @@ impl SegmentStore {
         &mut self,
         session: &mut BudgetSession,
     ) -> Result<(ProvExpr, ScanOutcome), ProxError> {
-        let (file, records) = self.open_log()?;
-        let mut reader = std::io::BufReader::new(file);
-        let mut outcome = ScanOutcome::default();
-        let mut checksum = FNV_OFFSET;
-        let mut rec = [0u8; LOG_ENTRY_BYTES];
+        self.collect_objects(session, usize::MAX)
+    }
+
+    /// Fold only the store's first `objects` objects (in object-id order,
+    /// the entry order of [`SegmentStore::collect`]'s expression). The
+    /// whole log is still replayed and checksum-verified, so the outcome's
+    /// `logical_seen`/`records_seen` cover the whole store, but only the
+    /// selected objects' frames are read and decoded: the result equals
+    /// the first `objects` entries of a full fold. On a budget trip the
+    /// partial fold holds the selected objects' frames among the records
+    /// replayed before the trip.
+    pub fn collect_objects(
+        &mut self,
+        session: &mut BudgetSession,
+        objects: usize,
+    ) -> Result<(ProvExpr, ScanOutcome), ProxError> {
+        // Highest wanted object id; `None` selects nothing.
+        let last = self.objects[..objects.min(self.objects.len())]
+            .last()
+            .copied();
         let mut fold: BTreeMap<u64, (AnnId, Tensor, u64)> = BTreeMap::new();
-        for _ in 0..records {
-            let stopped = match session.check() {
-                Err(stop) => Some(stop),
-                Ok(()) => session.note_step().err(),
-            };
-            if let Some(stop) = stopped {
-                outcome.stopped = Some(stop);
-                return Ok((fold_to_expr(self.info.agg, fold), outcome));
+        let outcome = self.replay(session, &mut |entry, count, decode| {
+            if !matches!(last, Some(l) if entry.object <= l) {
+                return Ok(());
             }
-            reader
-                .read_exact(&mut rec)
-                .map_err(|e| ProxError::io("read log record", &e))?;
-            BYTES_READ.add(LOG_ENTRY_BYTES as u64);
-            self.bytes_read += LOG_ENTRY_BYTES as u64;
-            checksum = fnv64_update(checksum, &rec);
-            let mut a = [0u8; 8];
-            a.copy_from_slice(&rec[..8]);
-            let fp = u64::from_le_bytes(a);
-            a.copy_from_slice(&rec[8..]);
-            let count = u64::from_le_bytes(a);
-            match fold.get_mut(&fp) {
+            match fold.get_mut(&entry.fp) {
                 Some((_, _, n)) => *n += count,
                 None => {
-                    let (object, tensor) = self.read_entry(fp)?;
-                    fold.insert(fp, (object, tensor, count));
+                    let (object, tensor) = decode()?;
+                    fold.insert(entry.fp, (object, tensor, count));
                 }
             }
-            outcome.records_seen += 1;
-            outcome.logical_seen += count;
-        }
-        if checksum != self.info.log_checksum {
-            return Err(ProxError::corrupt(
-                "store log",
-                format!(
-                    "record checksum mismatch: manifest {:016x}, computed {checksum:016x}",
-                    self.info.log_checksum
-                ),
-            ));
-        }
+            Ok(())
+        })?;
         Ok((fold_to_expr(self.info.agg, fold), outcome))
     }
 
@@ -595,10 +683,64 @@ impl StoreBackend for SegmentStore {
     }
 }
 
+/// A directory over the fingerprint-sorted index by the fingerprint's top
+/// bits. Fingerprints are FNV-1a hashes, spread evenly, so with two to
+/// four entries per bucket on average a lookup is one directory read and
+/// a search within a cache line or two, instead of a binary search whose
+/// last steps each miss the cache across the whole index.
+struct Buckets {
+    /// Right shift taking a fingerprint to its bucket.
+    shift: u32,
+    /// Bucket `b` spans `index[starts[b]..starts[b + 1]]`.
+    starts: Vec<u32>,
+}
+
+impl Buckets {
+    /// Counting pass over the (already sorted) index; no sort.
+    fn new(index: &[IndexEntry]) -> Result<Buckets, ProxError> {
+        if u32::try_from(index.len()).is_err() {
+            return Err(ProxError::unsupported(format!(
+                "store of {} frames (the index addresses at most 2^32)",
+                index.len()
+            )));
+        }
+        let bits = (usize::BITS - index.len().leading_zeros()).saturating_sub(2);
+        let mut buckets = Buckets {
+            shift: u64::BITS - bits,
+            starts: vec![0; (1 << bits) + 1],
+        };
+        for e in index {
+            let b = buckets.bucket(e.fp);
+            buckets.starts[b + 1] += 1;
+        }
+        for b in 1..buckets.starts.len() {
+            buckets.starts[b] += buckets.starts[b - 1];
+        }
+        Ok(buckets)
+    }
+
+    fn bucket(&self, fp: u64) -> usize {
+        fp.checked_shr(self.shift).unwrap_or(0) as usize
+    }
+
+    /// The index positions whose fingerprints share `fp`'s bucket.
+    fn range(&self, fp: u64) -> std::ops::Range<usize> {
+        let b = self.bucket(fp);
+        self.starts[b] as usize..self.starts[b + 1] as usize
+    }
+}
+
+/// Load one segment's index, appending its entries to `index` and marking
+/// the objects they name in `named` (one flag per annotation). Every
+/// entry must belong to `shard`, name an annotation, and sort after the
+/// entry before it: segments are loaded in shard order, so `index` stays
+/// sorted by fingerprint without a sort, and a duplicate fingerprint
+/// anywhere in the store fails the order check.
 fn load_segment_index(
     file: &mut File,
     shard: u8,
-    index: &mut BTreeMap<u64, (u8, u64, u32)>,
+    named: &mut [bool],
+    index: &mut Vec<IndexEntry>,
 ) -> Result<u64, ProxError> {
     let len = file
         .metadata()
@@ -635,10 +777,32 @@ fn load_segment_index(
         .map_err(|e| io("read", &e))?;
     let read = (magic.len() + tail.len() + index_len) as u64;
     BYTES_READ.add(read);
-    for e in parse_index_region(&index_bytes, want_sum, index_offset, shard)? {
-        if index.insert(e.fp, (shard, e.offset, e.len)).is_some() {
-            return Err(corrupt(format!("duplicate fingerprint {:016x}", e.fp)));
+    let entries = parse_index_region(&index_bytes, want_sum, index_offset, shard)?;
+    index.reserve(entries.len());
+    for e in entries {
+        if shard_of(e.fp) != shard {
+            return Err(corrupt(format!(
+                "frame {:016x} belongs to shard {:02x}",
+                e.fp,
+                shard_of(e.fp)
+            )));
         }
+        let Some(flag) = named.get_mut(e.object as usize) else {
+            return Err(corrupt(format!(
+                "frame {:016x} names object {} of {} annotations",
+                e.fp,
+                e.object,
+                named.len()
+            )));
+        };
+        *flag = true;
+        if index.last().is_some_and(|prev| prev.fp >= e.fp) {
+            return Err(corrupt(format!(
+                "frame {:016x} is out of fingerprint order (duplicate, or segments out of shard order)",
+                e.fp
+            )));
+        }
+        index.push(e);
     }
     Ok(read)
 }

@@ -5,12 +5,14 @@
 //! ```text
 //! "PROXSEG1"                                      8-byte magic
 //! frame*:   [u32 payload_len][payload][u64 fnv(payload)]
-//! index:    [u32 n] then n × [u64 fp][u64 offset][u32 payload_len]
+//! index:    [u32 n] then n × [u64 fp][u64 offset][u32 payload_len][u32 object]
 //! footer:   [u64 index_offset][u64 fnv(index bytes)]["PROXEND1"]
 //! ```
 //!
 //! `offset` addresses the frame's length prefix from the start of the
-//! file. The index is sorted by fingerprint, written once at close, and
+//! file; `object` repeats the frame payload's leading object id, so a
+//! reader can pick out one object's frames from the index alone. The
+//! index is sorted by fingerprint, written once at close, and
 //! checksummed in the footer; each frame additionally carries its own
 //! payload checksum, so corruption is detected at frame granularity.
 //! Crash safety is the append-only kind: a segment without a valid
@@ -30,19 +32,21 @@ pub const SEG_MAGIC: &[u8; 8] = b"PROXSEG1";
 /// Fixed footer size: index offset, index checksum, end magic.
 pub const FOOTER_BYTES: usize = 24;
 /// Bytes per frame in the offset index.
-pub const INDEX_ENTRY_BYTES: usize = 20;
+pub const INDEX_ENTRY_BYTES: usize = 24;
 
 /// File name of a shard's segment.
 pub fn segment_file(shard: u8) -> String {
     format!("seg-{shard:02x}.seg")
 }
 
-/// One sorted index entry: where a fingerprint's frame lives.
+/// One sorted index entry: where a fingerprint's frame lives, and the
+/// object its payload belongs to.
 #[derive(Clone, Copy, Debug)]
 pub struct IndexEntry {
     pub fp: u64,
     pub offset: u64,
     pub len: u32,
+    pub object: u32,
 }
 
 /// Summary of a finished segment, recorded in the store manifest.
@@ -85,8 +89,14 @@ impl SegmentWriter {
         })
     }
 
-    /// Append one frame; returns the entry recorded in the index.
-    pub fn append(&mut self, fp: u64, payload: &[u8]) -> Result<IndexEntry, ProxError> {
+    /// Append one frame of `object`; returns the entry recorded in the
+    /// index.
+    pub fn append(
+        &mut self,
+        fp: u64,
+        object: u32,
+        payload: &[u8],
+    ) -> Result<IndexEntry, ProxError> {
         if payload.len() > MAX_FRAME_BYTES {
             return Err(ProxError::internal(format!(
                 "frame payload {} bytes exceeds cap {MAX_FRAME_BYTES}",
@@ -97,6 +107,7 @@ impl SegmentWriter {
             fp,
             offset: self.offset,
             len: payload.len() as u32,
+            object,
         };
         let checksum = fnv64(payload);
         let io = |e: &std::io::Error| ProxError::io("append segment frame", e);
@@ -127,6 +138,7 @@ impl SegmentWriter {
             index_bytes.extend_from_slice(&e.fp.to_le_bytes());
             index_bytes.extend_from_slice(&e.offset.to_le_bytes());
             index_bytes.extend_from_slice(&e.len.to_le_bytes());
+            index_bytes.extend_from_slice(&e.object.to_le_bytes());
         }
         let io = |e: &std::io::Error| ProxError::io("finish segment", e);
         self.out.write_all(&index_bytes).map_err(|e| io(&e))?;
@@ -220,6 +232,8 @@ pub fn parse_index_region(
         let offset = u64::from_le_bytes(a);
         c.copy_from_slice(&index_bytes[pos + 16..pos + 20]);
         let len = u32::from_le_bytes(c);
+        c.copy_from_slice(&index_bytes[pos + 20..pos + 24]);
+        let object = u32::from_le_bytes(c);
         let end = offset
             .checked_add(4 + len as u64 + 8)
             .ok_or_else(|| corrupt("frame extent overflow".into()))?;
@@ -228,7 +242,12 @@ pub fn parse_index_region(
                 "frame at {offset} (+{len}) escapes data region [8, {index_offset})"
             )));
         }
-        entries.push(IndexEntry { fp, offset, len });
+        entries.push(IndexEntry {
+            fp,
+            offset,
+            len,
+            object,
+        });
         pos += INDEX_ENTRY_BYTES;
     }
     Ok(entries)
@@ -267,8 +286,8 @@ pub struct SegmentCheck {
 }
 
 /// Walk every frame in a segment image, checking each payload checksum
-/// against its stored value and each index entry against the frame it
-/// points at. `bytes` is the full file (verification is an offline,
+/// against its stored value and each index entry (length, address,
+/// object) against the frame it points at. `bytes` is the full file (verification is an offline,
 /// whole-file pass; the serving read path uses the page cache instead).
 pub fn verify_segment(bytes: &[u8], shard: u8) -> Result<SegmentCheck, ProxError> {
     let entries = parse_index(bytes, shard)?;
@@ -313,6 +332,17 @@ pub fn verify_segment(bytes: &[u8], shard: u8) -> Result<SegmentCheck, ProxError
             return Err(corrupt(format!(
                 "frame content hash {got:016x} does not match its address {:016x}",
                 e.fp
+            )));
+        }
+        // A payload starts with its object id (see `codec::encode_entry`).
+        let object = payload
+            .get(..4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .ok_or_else(|| corrupt(format!("frame {:016x}: payload too short", e.fp)))?;
+        if object != e.object {
+            return Err(corrupt(format!(
+                "frame {:016x}: index says object {}, payload holds object {object}",
+                e.fp, e.object
             )));
         }
         check.frames += 1;

@@ -1,9 +1,11 @@
 //! Offline store verification: `prox store verify <dir>`.
 //!
 //! A full pass over every file in the store directory: header and
-//! footer magics, per-frame payload checksums, index checksums, the
-//! logical log's running checksum, and cross-checks against the
-//! manifest counts. All failures are typed [`ProxError::Corrupt`]
+//! footer magics, per-frame payload checksums, index checksums and each
+//! index entry's object against its frame, the logical log's running
+//! checksum, that every record names an indexed frame and every indexed
+//! frame is named by some record, and cross-checks against the manifest
+//! counts. All failures are typed [`ProxError::Corrupt`]
 //! (exit code 2 at the CLI) — never panics.
 //!
 //! The read path runs through the fault-injection hooks: under
@@ -11,7 +13,7 @@
 //! under `PROX_FAULT=corrupt` bits are flipped — CI uses this to assert
 //! that injected damage is actually detected.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::path::Path;
 
 use prox_obs::store_metrics::BYTES_READ;
@@ -87,7 +89,8 @@ pub fn verify_store(dir: &Path) -> Result<VerifyReport, ProxError> {
         ));
     }
 
-    let mut fps: BTreeSet<u64> = BTreeSet::new();
+    // Every indexed fingerprint, and whether a log record names it.
+    let mut referenced: BTreeMap<u64, bool> = BTreeMap::new();
     for seg in &info.segments {
         let bytes = read_file(dir, &seg.file)?;
         report.bytes_checked += bytes.len() as u64;
@@ -102,7 +105,7 @@ pub fn verify_store(dir: &Path) -> Result<VerifyReport, ProxError> {
             ));
         }
         for e in parse_index(&bytes, seg.shard)? {
-            fps.insert(e.fp);
+            referenced.insert(e.fp, false);
         }
         report.segments += 1;
         report.frames += check.frames;
@@ -164,10 +167,13 @@ pub fn verify_store(dir: &Path) -> Result<VerifyReport, ProxError> {
         let fp = u64::from_le_bytes(a);
         a.copy_from_slice(&rec[8..]);
         logical += u64::from_le_bytes(a);
-        if !fps.contains(&fp) {
-            return Err(corrupt(format!(
-                "record references fingerprint {fp:016x} missing from every segment"
-            )));
+        match referenced.get_mut(&fp) {
+            Some(seen) => *seen = true,
+            None => {
+                return Err(corrupt(format!(
+                    "record references fingerprint {fp:016x} missing from every segment"
+                )))
+            }
         }
     }
     if checksum != declared_sum {
@@ -185,6 +191,13 @@ pub fn verify_store(dir: &Path) -> Result<VerifyReport, ProxError> {
         return Err(corrupt(format!(
             "manifest says {} logical expressions, log sums to {logical}",
             info.logical
+        )));
+    }
+    // The index is the store's object catalogue (`SegmentStore` selects
+    // objects by it), so it must not list a frame no fold would see.
+    if let Some((fp, _)) = referenced.iter().find(|(_, seen)| !**seen) {
+        return Err(corrupt(format!(
+            "indexed frame {fp:016x} is never referenced by a record"
         )));
     }
     report.log_records = records;

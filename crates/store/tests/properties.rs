@@ -8,14 +8,16 @@
 //! The properties: encode→decode is the identity on canonical entries;
 //! truncated frames and checksum-damaged blobs are typed
 //! [`prox_robust::ProxError`]s — never panics; a `PROX_FAULT=corrupt`
-//! read path degrades to typed errors; and same-seed synthetic builds
-//! are byte-identical on disk.
+//! read path degrades to typed errors; same-seed synthetic builds are
+//! byte-identical on disk; and hand-damaged fixtures (an index entry
+//! filed under the wrong object, a frame no log record names, a v1
+//! manifest) are typed errors from `verify` and the reader alike.
 
 use std::path::PathBuf;
 
 use prox_provenance::{AggValue, AnnId, CmpOp, Guard, Monomial, Polynomial, Tensor};
 use prox_robust::fault::{DetRng, FaultGuard};
-use prox_robust::{ErrorKind, ExecutionBudget};
+use prox_robust::{ErrorKind, ExecutionBudget, ProxError};
 use prox_store::codec::entry_fingerprint;
 use prox_store::{
     build_synthetic, decode_annstore, decode_entry, encode_annstore, encode_entry, fnv64,
@@ -281,4 +283,132 @@ fn same_seed_builds_are_byte_identical() {
     assert!(expr.num_objects() > 0);
     let _ = std::fs::remove_dir_all(&dir_a);
     let _ = std::fs::remove_dir_all(&dir_b);
+}
+
+/// A small synthetic store for the damaged-fixture tests.
+fn fixture(tag: &str) -> PathBuf {
+    let dir = scratch(tag);
+    let spec = SynthSpec {
+        users: 20,
+        movies: 10,
+        unique_frames: 120,
+        logical: 2_000,
+        seed: 11,
+    };
+    build_synthetic(&dir, &spec).expect("fixture builds");
+    verify_store(&dir).expect("undamaged fixture verifies");
+    dir
+}
+
+fn read_u64(bytes: &[u8], at: usize) -> u64 {
+    let mut a = [0u8; 8];
+    a.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(a)
+}
+
+fn assert_corrupt(result: Result<impl std::fmt::Debug, ProxError>, what: &str, needle: &str) {
+    match result {
+        Err(e @ ProxError::Corrupt { .. }) => {
+            assert!(e.to_string().contains(needle), "{what}: {e}");
+        }
+        other => panic!("{what}: want a Corrupt error naming {needle:?}, got {other:?}"),
+    }
+}
+
+/// Re-file the first index entry of a segment under another object, with
+/// the index checksum rewritten so only the object cross-checks can see
+/// it: `verify` (index vs payload) and the selective read (decoded
+/// object vs index) both report `Corrupt`.
+#[test]
+fn index_entry_under_the_wrong_object_is_corrupt() {
+    let _clean = FaultGuard::disabled();
+    let dir = fixture("wrong-object");
+    let seg = std::fs::read_dir(&dir)
+        .expect("store dir lists")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| p.extension().is_some_and(|x| x == "seg"))
+        .expect("the fixture has a segment");
+    let mut bytes = std::fs::read(&seg).expect("segment reads");
+    let foot = bytes.len() - 24;
+    let index_offset = read_u64(&bytes, foot) as usize;
+    // Entry 0: [u64 fp][u64 offset][u32 len][u32 object] after the count.
+    let at = index_offset + 4 + 20;
+    let mut c = [0u8; 4];
+    c.copy_from_slice(&bytes[at..at + 4]);
+    let object = u32::from_le_bytes(c);
+    let other = if object > 0 { object - 1 } else { object + 1 };
+    bytes[at..at + 4].copy_from_slice(&other.to_le_bytes());
+    let sum = fnv64(&bytes[index_offset..foot]);
+    bytes[foot + 8..foot + 16].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&seg, &bytes).expect("segment rewrites");
+
+    assert_corrupt(verify_store(&dir), "verify", "payload holds object");
+    let mut store = SegmentStore::open(&dir).expect("the index itself is well-formed");
+    let mut session = ExecutionBudget::unlimited().start();
+    assert_corrupt(
+        store.collect_objects(&mut session, usize::MAX),
+        "selective read",
+        "is indexed under object",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Point one log record at another frame (checksums and counts fixed up)
+/// so the frame it named is referenced by no record: `verify` reports it.
+#[test]
+fn indexed_frame_without_a_log_record_is_corrupt() {
+    let _clean = FaultGuard::disabled();
+    let dir = fixture("unreferenced");
+    let log_path = dir.join("log.bin");
+    let mut log = std::fs::read(&log_path).expect("log reads");
+    let foot = log.len() - 24;
+    let body = 8..foot;
+    let records: Vec<u64> = log[body.clone()]
+        .chunks_exact(16)
+        .map(|r| read_u64(r, 0))
+        .collect();
+    // A record whose fingerprint no other record repeats.
+    let lone = (0..records.len())
+        .find(|&i| records.iter().filter(|&&fp| fp == records[i]).count() == 1)
+        .expect("some frame appears in one record");
+    let donor = records[(lone + 1) % records.len()];
+    let at = 8 + 16 * lone;
+    log[at..at + 8].copy_from_slice(&donor.to_le_bytes());
+    let old_sum = read_u64(&log, foot + 8);
+    let sum = fnv64(&log[body]);
+    log[foot + 8..foot + 16].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&log_path, &log).expect("log rewrites");
+    // The manifest repeats the log checksum.
+    let manifest_path = dir.join("store.json");
+    let manifest = std::fs::read_to_string(&manifest_path).expect("manifest reads");
+    let (old_hex, new_hex) = (format!("{old_sum:016x}"), format!("{sum:016x}"));
+    assert!(manifest.contains(&old_hex), "{manifest}");
+    std::fs::write(&manifest_path, manifest.replace(&old_hex, &new_hex))
+        .expect("manifest rewrites");
+
+    assert_corrupt(verify_store(&dir), "verify", "never referenced");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A store written in the v1 layout (20-byte index entries) is refused
+/// at open with a typed `Unsupported` error, not read with the wrong
+/// layout.
+#[test]
+fn v1_store_is_unsupported() {
+    let _clean = FaultGuard::disabled();
+    let dir = fixture("v1");
+    let manifest_path = dir.join("store.json");
+    let manifest = std::fs::read_to_string(&manifest_path).expect("manifest reads");
+    assert!(manifest.contains("prox-store/v2"), "{manifest}");
+    std::fs::write(
+        &manifest_path,
+        manifest.replace("prox-store/v2", "prox-store/v1"),
+    )
+    .expect("manifest rewrites");
+    match SegmentStore::open(&dir) {
+        Err(e @ ProxError::Unsupported(_)) => assert_eq!(e.kind().exit_code(), 2),
+        Err(e) => panic!("want Unsupported, got {e}"),
+        Ok(_) => panic!("a v1 store opened"),
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
