@@ -429,16 +429,6 @@ impl SegmentStore {
         Ok((object, tensor))
     }
 
-    /// Decode one entry by content address.
-    pub fn read_entry(&mut self, fp: u64) -> Result<(AnnId, Tensor), ProxError> {
-        let e = self.entry(fp)?;
-        self.decode_frame(
-            e,
-            &mut TraceTally::inert("store_read"),
-            &mut TraceTally::inert("store_decode"),
-        )
-    }
-
     fn open_log(&self) -> Result<(File, u64), ProxError> {
         let path = self.dir.join(LOG_FILE);
         let mut file =

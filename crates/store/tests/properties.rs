@@ -286,6 +286,7 @@ fn same_seed_builds_are_byte_identical() {
 }
 
 /// A small synthetic store for the damaged-fixture tests.
+#[allow(clippy::expect_used)] // test helper: a failed build must fail loudly
 fn fixture(tag: &str) -> PathBuf {
     let dir = scratch(tag);
     let spec = SynthSpec {
