@@ -31,6 +31,17 @@ pub struct MovieLensConfig {
     pub seed: u64,
 }
 
+impl MovieLensConfig {
+    /// The PROX demo dataset: the `prox` CLI's default and the service's
+    /// `demo` preset.
+    pub const DEMO: MovieLensConfig = MovieLensConfig {
+        users: 40,
+        movies: 8,
+        ratings_per_user: 2,
+        seed: 2016,
+    };
+}
+
 impl Default for MovieLensConfig {
     fn default() -> Self {
         MovieLensConfig {

@@ -213,17 +213,27 @@ mod tests {
     #[global_allocator]
     static ALLOC: CountingAlloc = CountingAlloc::system();
 
+    /// Serializes the tests that allocate large blocks or re-base the
+    /// epoch: a sibling's 1 MiB allocation between two reads of the live
+    /// bytes would look like a drop raising them.
+    static ALLOC_TEST: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn counters_observe_allocations_and_peak_dominates_live() {
-        let before = stats();
-        assert!(before.installed, "global allocator must be routing");
+        let _serial = crate::lock(&ALLOC_TEST);
+        assert!(stats().installed, "global allocator must be routing");
+        // Growth is read off the raw process-lifetime totals: a sibling
+        // test's `epoch_reset` may rebase the epoch-relative `stats()`
+        // counters while this test runs, but never lowers `totals()`.
+        let (bytes0, allocs0) = totals();
         let v: Vec<u8> = Vec::with_capacity(1 << 16);
+        let (bytes1, allocs1) = totals();
         let after = stats();
         assert!(
-            after.total_bytes >= before.total_bytes + (1 << 16),
-            "total must grow by at least the allocation: {before:?} -> {after:?}"
+            bytes1 >= bytes0 + (1 << 16),
+            "total must grow by at least the allocation: {bytes0} -> {bytes1}"
         );
-        assert!(after.allocs > before.allocs);
+        assert!(allocs1 > allocs0);
         assert!(after.peak_bytes >= after.live_bytes.min(after.peak_bytes));
         drop(v);
         let freed = stats();
@@ -237,6 +247,7 @@ mod tests {
 
     #[test]
     fn epoch_reset_rebases_cumulative_and_peak() {
+        let _serial = crate::lock(&ALLOC_TEST);
         let _keep: Vec<u8> = Vec::with_capacity(4096);
         epoch_reset();
         let s = stats();

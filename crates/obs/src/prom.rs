@@ -294,6 +294,7 @@ mod tests {
     /// every series name is introduced by HELP+TYPE, no duplicate series.
     #[test]
     fn exposition_is_well_formed_with_no_duplicates() {
+        let _serial = crate::lock(&window::TEST_LOCK);
         crate::set_enabled(true);
         window::record_request(&window::RequestObservation {
             endpoint: "/summarize",

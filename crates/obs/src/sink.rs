@@ -81,8 +81,13 @@ pub fn close() {
 mod tests {
     use super::*;
 
+    /// Both tests install and close the one global sink; run concurrently,
+    /// one would close the other's sink or read its events.
+    static SINK_TEST: Mutex<()> = Mutex::new(());
+
     #[test]
     fn sink_writes_one_valid_json_object_per_line() {
+        let _serial = crate::lock(&SINK_TEST);
         let path = std::env::temp_dir().join(format!("prox-obs-sink-{}.jsonl", std::process::id()));
         let path_str = path.to_str().expect("utf8 temp path");
         install(path_str).expect("install sink");
@@ -97,20 +102,23 @@ mod tests {
         assert!(!active());
 
         let text = std::fs::read_to_string(&path).expect("read back");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        for line in &lines {
+        let mut own = Vec::new();
+        for line in text.lines() {
             let obj = Json::parse(line).expect("valid JSON line");
             assert!(obj.get("type").is_some(), "{line}");
             assert!(obj.get("t_us").and_then(Json::as_u64).is_some(), "{line}");
+            // Spans recorded by concurrently running tests land in the
+            // same global sink; only this test's two events are counted.
+            if matches!(
+                obj.get("name").and_then(Json::as_str),
+                Some("alpha" | "beta/gamma")
+            ) {
+                own.push(obj);
+            }
         }
-        assert_eq!(
-            Json::parse(lines[1])
-                .unwrap()
-                .get("dur_ns")
-                .and_then(Json::as_u64),
-            Some(1234)
-        );
+        assert_eq!(own.len(), 2);
+        assert_eq!(own[0].get("name").and_then(Json::as_str), Some("alpha"));
+        assert_eq!(own[1].get("dur_ns").and_then(Json::as_u64), Some(1234));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -118,6 +126,7 @@ mod tests {
     /// object (no interleaving, no torn lines).
     #[test]
     fn concurrent_emitters_never_interleave_lines() {
+        let _serial = crate::lock(&SINK_TEST);
         const THREADS: usize = 8;
         const EVENTS: usize = 200;
         let path =
@@ -146,13 +155,24 @@ mod tests {
         close();
 
         let text = std::fs::read_to_string(&path).expect("read back");
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), THREADS * EVENTS);
-        for line in &lines {
+        let mut seen = std::collections::BTreeSet::new();
+        for line in text.lines() {
             let obj = Json::parse(line).expect("valid JSON line");
-            assert_eq!(obj.get("type").and_then(Json::as_str), Some("stress"));
             assert!(obj.get("t_us").and_then(Json::as_u64).is_some());
+            match obj.get("type").and_then(Json::as_str) {
+                Some("stress") => {
+                    let id = (
+                        obj.get("thread").and_then(Json::as_u64),
+                        obj.get("i").and_then(Json::as_u64),
+                    );
+                    assert!(seen.insert(id), "duplicate event {line}");
+                }
+                // Spans recorded by concurrently running tests share the
+                // global sink; they must be whole lines too.
+                other => assert_eq!(other, Some("span"), "{line}"),
+            }
         }
+        assert_eq!(seen.len(), THREADS * EVENTS);
         let _ = std::fs::remove_file(&path);
     }
 }

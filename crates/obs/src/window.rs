@@ -353,6 +353,11 @@ pub fn window_json(deterministic: bool) -> Json {
         .with("endpoints", endpoints)
 }
 
+/// Serializes the unit tests that reset or record into the one global
+/// window: a sibling's `reset` mid-test would wipe what a test recorded.
+#[cfg(test)]
+pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,6 +374,7 @@ mod tests {
 
     #[test]
     fn records_totals_and_percentiles() {
+        let _serial = crate::lock(&TEST_LOCK);
         crate::set_enabled(true);
         reset();
         for i in 1..=100u64 {
@@ -400,6 +406,7 @@ mod tests {
 
     #[test]
     fn deterministic_stats_omit_wall_clock_fields() {
+        let _serial = crate::lock(&TEST_LOCK);
         crate::set_enabled(true);
         reset();
         record_request(&obs("/d", 200, 123));
@@ -416,6 +423,7 @@ mod tests {
 
     #[test]
     fn endpoints_render_sorted() {
+        let _serial = crate::lock(&TEST_LOCK);
         crate::set_enabled(true);
         reset();
         record_request(&obs("/z", 200, 1));

@@ -61,7 +61,6 @@
 
 pub mod aggexpr;
 pub mod annot;
-pub mod backend;
 pub mod classes;
 pub mod ddp;
 pub mod display;
@@ -85,7 +84,6 @@ pub mod valuation;
 
 pub use aggexpr::AggExpr;
 pub use annot::{AnnId, AnnKind, Annotation, AttrId, AttrValueId, DomainId};
-pub use backend::{MemoryBackend, StoreBackend};
 pub use classes::ValuationClass;
 pub use ddp::{DbCondOp, DdpExecution, DdpExpr, DdpMerge, DdpTransition};
 pub use eval::{EvalOutcome, EvalVector};

@@ -17,8 +17,18 @@
 //!   `{"annotations": [names..]}` or `{"attributes": [[attr, value]..]}`;
 //!   evaluates the assignment on both the original provenance and the
 //!   summary (§7's provisioning view).
+//! * `POST /summarize/store` — `objects` (how many of the attached
+//!   store's objects to select, default 4) plus the shared knobs `w_dist`,
+//!   `target_dist`, `target_size`, `steps` and `budget_steps`.
+//! * `GET /store/stats` — the attached store's reader statistics.
 //! * `GET /datasets` — the preset catalog with titles.
 //! * `GET /healthz`, `GET /metrics` — liveness and the prox-obs snapshot.
+//!
+//! The two summarize routes share one parser ([`parse_params`]), one key
+//! ([`canonical_key`]) and one skeleton: circuit-breaker admission, the
+//! `panic` fault site, the budget, a cache probe, the compute step, and
+//! caching of complete results. Invalid knobs are rejected while parsing,
+//! before any dataset is generated or store page read.
 //!
 //! ## Error → status mapping
 //!
@@ -28,18 +38,20 @@
 //!
 //! ## Cache keying
 //!
-//! [`canonical_key`] renders every result-determining parameter — dataset
-//! generator config (including seed), selection, weights, bounds, `agg`,
-//! `budget_steps` — as sorted JSON. Wall-clock budgets are deliberately
-//! excluded: they do not change what a *completed* run returns, and runs
-//! cut short by wall-clock (`deadline_exceeded`/`cancelled`) are never
-//! cached. Identical seeded requests therefore produce byte-identical
-//! bodies whether computed or served from cache.
+//! [`canonical_key`] renders every result-determining parameter — the
+//! dataset generator config (including seed), selection and `agg`, or the
+//! store directory and `objects`; weights, bounds, `budget_steps` — as
+//! sorted JSON. Wall-clock budgets are deliberately excluded: they do not
+//! change what a *completed* run returns, and runs cut short by
+//! wall-clock (`deadline_exceeded`/`cancelled`) are never cached.
+//! Identical seeded requests therefore produce byte-identical bodies
+//! whether computed or served from cache.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
+use prox_core::StopReason;
 use prox_datasets::{MovieLens, MovieLensConfig};
 use prox_obs::{
     keep_sampled, trace_id_from, window, Counter, Json, RetainReason, RetainedTrace, TraceContext,
@@ -50,9 +62,7 @@ use prox_robust::{CancelFlag, ErrorKind, ExecutionBudget, ProxError};
 use prox_store::SegmentStore;
 use prox_system::evaluator::{evaluate_both, Assignment, Evaluation};
 use prox_system::selection::{select, Selection};
-use prox_system::summarization::{summarize, SummarizationRequest, Summarized};
-
-use prox_core::{ConstraintConfig, MergeRule, StopReason, SummarizeConfig, Summarizer};
+use prox_system::summarization::{summarize, summarize_workload, SummarizationRequest, Summarized};
 
 use crate::breaker::{BreakerAdmission, BreakerConfig, CircuitBreaker};
 use crate::cache::{fingerprint, SummaryCache};
@@ -183,19 +193,11 @@ fn slow_ms_from_env() -> u64 {
         .unwrap_or(0)
 }
 
-/// The built-in dataset catalog: `(name, generator config)`. `demo`
-/// matches the CLI's default dataset.
+/// The built-in dataset catalog: `(name, generator config)`. `demo` is
+/// [`MovieLensConfig::DEMO`], the CLI's default dataset.
 pub fn presets() -> Vec<(&'static str, MovieLensConfig)> {
     vec![
-        (
-            "demo",
-            MovieLensConfig {
-                users: 40,
-                movies: 8,
-                ratings_per_user: 2,
-                seed: 2016,
-            },
-        ),
+        ("demo", MovieLensConfig::DEMO),
         (
             "small",
             MovieLensConfig {
@@ -226,48 +228,68 @@ pub fn presets() -> Vec<(&'static str, MovieLensConfig)> {
     ]
 }
 
-/// A fully resolved `/summarize` or `/provision` request.
+/// The summarize-family route a body is parsed for; each accepts only
+/// its own source fields.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Route {
+    /// `/summarize` and `/provision`: a generated MovieLens dataset.
+    Dataset,
+    /// `/summarize/store`: the attached segment store.
+    Store,
+}
+
+/// Where a request's provenance comes from.
+#[derive(Clone, Debug)]
+pub enum Source {
+    /// A generated MovieLens dataset and a selection over its movies.
+    Dataset {
+        /// Generator config (from a preset or inline).
+        config: MovieLensConfig,
+        /// Catalog name, or `"custom"` for inline configs.
+        name: String,
+        /// What to select before summarizing.
+        selection: Selection,
+    },
+    /// The attached segment store's first `objects` objects.
+    Store {
+        /// How many objects to select, in the store's object order.
+        objects: usize,
+    },
+}
+
+/// A fully resolved `/summarize`, `/provision` or `/summarize/store`
+/// request.
 #[derive(Clone, Debug)]
 pub struct Params {
-    /// Generator config (from a preset or inline).
-    pub dataset: MovieLensConfig,
-    /// Catalog name, or `"custom"` for inline configs.
-    pub dataset_name: String,
-    /// What to select before summarizing.
-    pub selection: Selection,
-    /// Distance weight (`wDist`).
-    pub w_dist: f64,
-    /// Distance bound (`TARGET-DIST`).
-    pub target_dist: f64,
-    /// Size bound (`TARGET-SIZE`).
-    pub target_size: usize,
-    /// Maximum merge steps.
-    pub steps: usize,
-    /// Aggregation function.
-    pub agg: AggKind,
+    /// The provenance to summarize.
+    pub source: Source,
+    /// The summarization knobs. Parsing leaves the budget unlimited; the
+    /// route sets it from the request headers and `budget_steps`.
+    pub request: SummarizationRequest,
     /// Optional deterministic budget step cap.
     pub budget_steps: Option<usize>,
     /// Provisioning assignment (`/provision` only).
     pub cancel: Option<Assignment>,
 }
 
-impl Default for Params {
-    fn default() -> Self {
-        let defaults = SummarizationRequest::default();
-        Params {
-            dataset: MovieLensConfig {
-                users: 40,
-                movies: 8,
-                ratings_per_user: 2,
-                seed: 2016,
+impl Params {
+    /// Every field at its default for `route`.
+    fn defaults(route: Route) -> Params {
+        let mut request = SummarizationRequest::default();
+        let source = match route {
+            Route::Dataset => Source::Dataset {
+                config: MovieLensConfig::DEMO,
+                name: "demo".to_owned(),
+                selection: Selection::All,
             },
-            dataset_name: "demo".to_owned(),
-            selection: Selection::All,
-            w_dist: defaults.w_dist,
-            target_dist: defaults.target_dist,
-            target_size: defaults.target_size,
-            steps: defaults.steps,
-            agg: defaults.aggregation,
+            Route::Store => {
+                request.valuation_class = ValuationClass::CancelSingleAttribute;
+                Source::Store { objects: 4 }
+            }
+        };
+        Params {
+            source,
+            request,
             budget_steps: None,
             cancel: None,
         }
@@ -332,12 +354,7 @@ fn dataset_of(value: &Json) -> Result<(MovieLensConfig, String), ProxError> {
             )))
         }
     };
-    let mut cfg = MovieLensConfig {
-        users: 40,
-        movies: 8,
-        ratings_per_user: 2,
-        seed: 2016,
-    };
+    let mut cfg = MovieLensConfig::DEMO;
     for (key, v) in entries {
         match key.as_str() {
             "users" => cfg.users = usize_of(v, "dataset.users")?,
@@ -458,38 +475,43 @@ fn cancel_of(value: &Json) -> Result<Assignment, ProxError> {
     }
 }
 
-/// Parse a request body into [`Params`]. An empty body means defaults;
-/// unknown fields are rejected so typos surface as `400`s.
-pub fn parse_params(body: &[u8]) -> Result<Params, ProxError> {
-    let mut params = Params::default();
+/// Parse a request body for `route` into [`Params`]. An empty body means
+/// defaults; unknown fields, and fields of the other route, are rejected
+/// so typos surface as `400`s. The knobs are validated here, before any
+/// work: an invalid `w_dist` never generates a dataset or reads a store.
+pub fn parse_params(body: &[u8], route: Route) -> Result<Params, ProxError> {
+    let mut params = Params::defaults(route);
     let text = std::str::from_utf8(body)
         .map_err(|e| bad(format!("body is not UTF-8 at byte {}", e.valid_up_to())))?;
-    if text.trim().is_empty() {
-        return Ok(params);
-    }
-    let value = Json::parse(text).map_err(|e| bad(format!("body is not valid JSON: {e}")))?;
-    let entries = match &value {
-        Json::Obj(entries) => entries,
-        other => return Err(bad(format!("body must be a JSON object, got {other:?}"))),
-    };
-    for (key, v) in entries {
-        match key.as_str() {
-            "dataset" => {
-                let (cfg, name) = dataset_of(v)?;
-                params.dataset = cfg;
-                params.dataset_name = name;
+    if !text.trim().is_empty() {
+        let value = Json::parse(text).map_err(|e| bad(format!("body is not valid JSON: {e}")))?;
+        let entries = match &value {
+            Json::Obj(entries) => entries,
+            other => return Err(bad(format!("body must be a JSON object, got {other:?}"))),
+        };
+        for (key, v) in entries {
+            let request = &mut params.request;
+            match (key.as_str(), &mut params.source) {
+                ("w_dist", _) => request.w_dist = f64_of(v, "w_dist")?,
+                ("target_dist", _) => request.target_dist = f64_of(v, "target_dist")?,
+                ("target_size", _) => request.target_size = usize_of(v, "target_size")?,
+                ("steps", _) => request.steps = usize_of(v, "steps")?,
+                ("budget_steps", _) => params.budget_steps = Some(usize_of(v, "budget_steps")?),
+                ("dataset", Source::Dataset { config, name, .. }) => {
+                    (*config, *name) = dataset_of(v)?;
+                }
+                ("selection", Source::Dataset { selection, .. }) => *selection = selection_of(v)?,
+                ("agg", Source::Dataset { .. }) => request.aggregation = agg_of(str_of(v, "agg")?)?,
+                ("cancel", Source::Dataset { .. }) => params.cancel = Some(cancel_of(v)?),
+                ("objects", Source::Store { objects }) => *objects = usize_of(v, "objects")?,
+                (other, _) => return Err(bad(format!("unknown field {other:?}"))),
             }
-            "selection" => params.selection = selection_of(v)?,
-            "w_dist" => params.w_dist = f64_of(v, "w_dist")?,
-            "target_dist" => params.target_dist = f64_of(v, "target_dist")?,
-            "target_size" => params.target_size = usize_of(v, "target_size")?,
-            "steps" => params.steps = usize_of(v, "steps")?,
-            "agg" => params.agg = agg_of(str_of(v, "agg")?)?,
-            "budget_steps" => params.budget_steps = Some(usize_of(v, "budget_steps")?),
-            "cancel" => params.cancel = Some(cancel_of(v)?),
-            other => return Err(bad(format!("unknown field {other:?}"))),
         }
     }
+    if let Source::Store { objects: 0 } = params.source {
+        return Err(bad("objects must be at least 1"));
+    }
+    params.request.config().validate()?;
     Ok(params)
 }
 
@@ -515,39 +537,46 @@ fn selection_json(selection: &Selection) -> Json {
 }
 
 /// The canonical cache key: every result-determining parameter, sorted
-/// and rendered. Wall-clock budgets are excluded by design (see module
-/// docs).
-pub fn canonical_key(params: &Params) -> String {
-    Json::obj()
-        .with(
-            "dataset",
-            Json::obj()
-                .with("users", params.dataset.users)
-                .with("movies", params.dataset.movies)
-                .with("ratings_per_user", params.dataset.ratings_per_user)
-                .with("seed", params.dataset.seed),
-        )
-        .with("selection", selection_json(&params.selection))
-        .with("w_dist", params.w_dist)
-        .with("target_dist", params.target_dist)
-        .with("target_size", params.target_size)
-        .with("steps", params.steps)
-        .with("agg", params.agg.name())
+/// and rendered. Both sources key on the shared knobs and
+/// `budget_steps`; a dataset adds its generator config, selection and
+/// `agg`, and a store adds `objects` and `store_dir`, the attached store's
+/// directory, so restarting against a different store never replays stale
+/// bodies. Wall-clock budgets are excluded by design (see module docs).
+pub fn canonical_key(params: &Params, store_dir: Option<&str>) -> String {
+    let request = &params.request;
+    let mut key = Json::obj()
+        .with("w_dist", request.w_dist)
+        .with("target_dist", request.target_dist)
+        .with("target_size", request.target_size)
+        .with("steps", request.steps)
         .with(
             "budget_steps",
             match params.budget_steps {
                 Some(n) => Json::from(n),
                 None => Json::Null,
             },
-        )
-        .sorted()
-        .render()
-}
-
-/// Snake-case stop-reason names used in response bodies (and matching the
-/// bench `run/stop/*` counter suffixes).
-pub fn stop_reason_name(reason: StopReason) -> &'static str {
-    reason.name()
+        );
+    match &params.source {
+        Source::Dataset {
+            config, selection, ..
+        } => {
+            key.set(
+                "dataset",
+                Json::obj()
+                    .with("users", config.users)
+                    .with("movies", config.movies)
+                    .with("ratings_per_user", config.ratings_per_user)
+                    .with("seed", config.seed),
+            );
+            key.set("selection", selection_json(selection));
+            key.set("agg", request.aggregation.name());
+        }
+        Source::Store { objects } => {
+            key.set("store_dir", store_dir.unwrap_or_default());
+            key.set("objects", *objects);
+        }
+    }
+    key.sorted().render()
 }
 
 /// Whether a result may be cached: runs cut short by wall-clock or
@@ -590,7 +619,7 @@ pub fn error_response(e: &ProxError) -> Response {
 fn budget_for(
     req: &Request,
     ctx: &ServiceCtx,
-    params: &Params,
+    budget_steps: Option<usize>,
     trace: Option<&TraceContext>,
 ) -> Result<ExecutionBudget, ProxError> {
     let ms = match req.header("x-prox-budget-ms") {
@@ -602,7 +631,7 @@ fn budget_for(
     let mut budget = ExecutionBudget::unlimited()
         .with_deadline_ms(ms)
         .with_cancel(ctx.shutdown.clone());
-    if let Some(steps) = params.budget_steps {
+    if let Some(steps) = budget_steps {
         budget = budget.with_max_steps(steps);
     }
     // The trace rides the budget into the summarizer, HAC, and candidate
@@ -613,45 +642,125 @@ fn budget_for(
     Ok(budget)
 }
 
-fn run_summarize(
-    params: &Params,
-    budget: ExecutionBudget,
-) -> Result<(MovieLens, Summarized), ProxError> {
-    let mut data = MovieLens::generate(params.dataset);
-    let selected = select(&mut data, &params.selection, params.agg);
+/// The attached store, or the `400` a store route answers without one.
+fn attached_store(ctx: &ServiceCtx) -> Result<&StoreState, ProxError> {
+    ctx.store.as_ref().ok_or_else(|| bad(NO_STORE))
+}
+
+const NO_STORE: &str = "no segment store attached — start with --store <dir>";
+
+/// Generate a dataset source, select from it, and summarize the selection.
+fn run_summarize(params: &Params) -> Result<(MovieLens, Summarized), ProxError> {
+    let Source::Dataset {
+        config, selection, ..
+    } = &params.source
+    else {
+        return Err(bad("expected a dataset request"));
+    };
+    let mut data = MovieLens::generate(*config);
+    let selected = select(&mut data, selection, params.request.aggregation);
     if selected.movies.is_empty() {
         return Err(bad("selection matched no movies"));
     }
-    let request = SummarizationRequest {
-        w_dist: params.w_dist,
-        target_dist: params.target_dist,
-        target_size: params.target_size,
-        steps: params.steps,
-        aggregation: params.agg,
-        budget,
-        ..SummarizationRequest::default()
-    };
-    let out = summarize(&mut data, &selected, request)?;
+    let out = summarize(&mut data, &selected, params.request.clone())?;
     Ok((data, out))
 }
 
-fn summary_json(fp: &str, params: &Params, data: &MovieLens, out: &Summarized) -> Json {
-    let names: Vec<Json> = out
-        .result
+/// Read the store's first `objects` objects, summarize them, and render
+/// the `/summarize/store` body. The read streams and checksums the whole
+/// log under the request budget but reads only the selected objects'
+/// frames through the page cache (`fold.frames_read`). A budget trip
+/// mid-log is still a `200` over the selected frames replayed so far,
+/// with `fold.stopped: true`. Returns the body and whether it may be
+/// cached.
+fn store_summary(
+    state: &StoreState,
+    objects: usize,
+    request: &SummarizationRequest,
+    fp: &str,
+) -> Result<(String, bool), ProxError> {
+    // The store guard is scoped to the read and dropped before the
+    // response cache is touched again: cache and store locks are never
+    // held together, in either order.
+    let mut session = request.budget.start();
+    let (selection, outcome, num_objects, mut anns) = {
+        let mut store = lock(&state.store);
+        let (selection, outcome) = store.collect_objects(&mut session, objects)?;
+        (
+            selection,
+            outcome,
+            store.num_objects(),
+            store.anns().clone(),
+        )
+    };
+    let result = summarize_workload(&mut anns, &selection, request)?;
+    let names: Vec<Json> = result
         .summary
         .annotations()
         .into_iter()
-        .map(|a| Json::from(data.store.name(a)))
+        .map(|a| Json::from(anns.name(a)))
         .collect();
-    Json::obj()
+    let body = Json::obj()
         .with("request_fingerprint", fp)
-        .with("dataset", params.dataset_name.as_str())
-        .with("stop_reason", stop_reason_name(out.result.stop_reason))
-        .with("initial_size", out.result.initial_size)
-        .with("final_size", out.result.final_size())
-        .with("final_distance", out.result.final_distance)
-        .with("steps", out.result.history.len())
+        .with(
+            "fold",
+            Json::obj()
+                .with("logical_seen", outcome.logical_seen)
+                .with("records_seen", outcome.records_seen)
+                .with("stopped", outcome.stopped.is_some())
+                .with("objects", num_objects)
+                .with("frames_read", outcome.frames_read),
+        )
+        .with("selected_objects", objects)
+        .with("stop_reason", result.stop_reason.name())
+        .with("initial_size", result.initial_size)
+        .with("final_size", result.final_size())
+        .with("final_distance", result.final_distance)
+        .with("steps", result.history.len())
         .with("summary", Json::Arr(names))
+        .render();
+    // A read cut short by wall-clock is not reproducible from the
+    // request alone.
+    Ok((
+        body,
+        outcome.stopped.is_none() && cacheable(result.stop_reason),
+    ))
+}
+
+/// The compute step of the summarize skeleton: the rendered `200` body
+/// and whether it may be cached.
+fn compute(
+    params: &Params,
+    store: Option<&StoreState>,
+    fp: &str,
+) -> Result<(String, bool), ProxError> {
+    match &params.source {
+        Source::Dataset { name, .. } => {
+            let (data, out) = run_summarize(params)?;
+            let names: Vec<Json> = out
+                .result
+                .summary
+                .annotations()
+                .into_iter()
+                .map(|a| Json::from(data.store.name(a)))
+                .collect();
+            let body = Json::obj()
+                .with("request_fingerprint", fp)
+                .with("dataset", name.as_str())
+                .with("stop_reason", out.result.stop_reason.name())
+                .with("initial_size", out.result.initial_size)
+                .with("final_size", out.result.final_size())
+                .with("final_distance", out.result.final_distance)
+                .with("steps", out.result.history.len())
+                .with("summary", Json::Arr(names))
+                .render();
+            Ok((body, cacheable(out.result.stop_reason)))
+        }
+        Source::Store { objects } => {
+            let state = store.ok_or_else(|| bad(NO_STORE))?;
+            store_summary(state, *objects, &params.request, fp)
+        }
+    }
 }
 
 /// The `503` an open circuit breaker answers with.
@@ -667,12 +776,21 @@ fn breaker_shed_response(retry_after_secs: u64) -> Response {
     resp
 }
 
+/// `POST /summarize` and `POST /summarize/store`: parse, then one
+/// skeleton for both sources — breaker admission, the `panic` fault
+/// site, the budget, a cache probe, the compute step, and caching of a
+/// complete result.
 fn summarize_route(
     req: &Request,
     ctx: &ServiceCtx,
+    route: Route,
     trace: Option<&TraceContext>,
 ) -> Result<Response, ProxError> {
-    let params = parse_params(&req.body)?;
+    let store = match route {
+        Route::Dataset => None,
+        Route::Store => Some(attached_store(ctx)?),
+    };
+    let mut params = parse_params(&req.body, route)?;
     // Circuit breaker: while open, shed fast — before budgets, cache
     // probes, or any summarization work is queued.
     if let BreakerAdmission::Shed { retry_after_secs } = ctx.breaker.admit() {
@@ -684,8 +802,8 @@ fn summarize_route(
     // Fault site: an armed `panic` clause unwinds from here through the
     // worker supervision boundary, which answers a typed 500.
     prox_robust::fault::maybe_panic();
-    let budget = budget_for(req, ctx, &params, trace)?;
-    let key = canonical_key(&params);
+    params.request.budget = budget_for(req, ctx, params.budget_steps, trace)?;
+    let key = canonical_key(&params, store.map(StoreState::dir));
     if let Some(body) = lock(&ctx.cache).get(&key) {
         if let Some(t) = trace {
             t.note("cache", "hit");
@@ -696,7 +814,7 @@ fn summarize_route(
     if let Some(t) = trace {
         t.note("cache", "miss");
     }
-    let (data, out) = match run_summarize(&params, budget) {
+    let (body, cacheable) = match compute(&params, store, &fingerprint(&key)) {
         Ok(v) => v,
         Err(e) => {
             // Only internal faults feed the breaker: client errors (400)
@@ -708,8 +826,7 @@ fn summarize_route(
         }
     };
     ctx.breaker.record_success();
-    let body = summary_json(&fingerprint(&key), &params, &data, &out).render();
-    if cacheable(out.result.stop_reason) {
+    if cacheable {
         lock(&ctx.cache).put(key, body.clone());
     }
     Ok(Response::json(200, body))
@@ -735,199 +852,21 @@ fn provision_route(
     ctx: &ServiceCtx,
     trace: Option<&TraceContext>,
 ) -> Result<Response, ProxError> {
-    let params = parse_params(&req.body)?;
+    let mut params = parse_params(&req.body, Route::Dataset)?;
     let assignment = params
         .cancel
         .clone()
         .ok_or_else(|| bad("/provision requires a cancel field"))?;
-    let budget = budget_for(req, ctx, &params, trace)?;
-    let key = canonical_key(&params);
-    let (data, out) = run_summarize(&params, budget)?;
+    params.request.budget = budget_for(req, ctx, params.budget_steps, trace)?;
+    let key = canonical_key(&params, None);
+    let (data, out) = run_summarize(&params)?;
     let (orig, summ) = evaluate_both(&out.original, &out.result.summary, &assignment, &data.store);
     let body = Json::obj()
         .with("request_fingerprint", fingerprint(&key).as_str())
-        .with("stop_reason", stop_reason_name(out.result.stop_reason))
+        .with("stop_reason", out.result.stop_reason.name())
         .with("original", rows_json(&orig))
         .with("summary", rows_json(&summ))
         .render();
-    Ok(Response::json(200, body))
-}
-
-/// Parameters for `/summarize/store`: a selection size over the store's
-/// object order plus the usual summarization knobs.
-struct StoreParams {
-    objects: usize,
-    w_dist: f64,
-    target_dist: f64,
-    target_size: usize,
-    steps: usize,
-    budget_steps: Option<usize>,
-}
-
-impl Default for StoreParams {
-    fn default() -> Self {
-        let defaults = SummarizationRequest::default();
-        StoreParams {
-            objects: 4,
-            w_dist: defaults.w_dist,
-            target_dist: defaults.target_dist,
-            target_size: defaults.target_size,
-            steps: defaults.steps,
-            budget_steps: None,
-        }
-    }
-}
-
-fn parse_store_params(body: &[u8]) -> Result<StoreParams, ProxError> {
-    let mut params = StoreParams::default();
-    let text = std::str::from_utf8(body)
-        .map_err(|e| bad(format!("body is not UTF-8 at byte {}", e.valid_up_to())))?;
-    if text.trim().is_empty() {
-        return Ok(params);
-    }
-    let value = Json::parse(text).map_err(|e| bad(format!("body is not valid JSON: {e}")))?;
-    let entries = match &value {
-        Json::Obj(entries) => entries,
-        other => return Err(bad(format!("body must be a JSON object, got {other:?}"))),
-    };
-    for (key, v) in entries {
-        match key.as_str() {
-            "objects" => params.objects = usize_of(v, "objects")?,
-            "w_dist" => params.w_dist = f64_of(v, "w_dist")?,
-            "target_dist" => params.target_dist = f64_of(v, "target_dist")?,
-            "target_size" => params.target_size = usize_of(v, "target_size")?,
-            "steps" => params.steps = usize_of(v, "steps")?,
-            "budget_steps" => params.budget_steps = Some(usize_of(v, "budget_steps")?),
-            other => return Err(bad(format!("unknown field {other:?}"))),
-        }
-    }
-    if params.objects == 0 {
-        return Err(bad("objects must be at least 1"));
-    }
-    Ok(params)
-}
-
-/// Cache key for store summaries: the store directory is part of the key
-/// so restarting against a different store never replays stale bodies.
-fn store_key(params: &StoreParams, dir: &str) -> String {
-    Json::obj()
-        .with("store_dir", dir)
-        .with("objects", params.objects)
-        .with("w_dist", params.w_dist)
-        .with("target_dist", params.target_dist)
-        .with("target_size", params.target_size)
-        .with("steps", params.steps)
-        .with(
-            "budget_steps",
-            match params.budget_steps {
-                Some(n) => Json::from(n),
-                None => Json::Null,
-            },
-        )
-        .sorted()
-        .render()
-}
-
-/// `POST /summarize/store`: summarize the store's first `objects`
-/// objects. The read streams and checksums the whole log under the
-/// request budget but reads only the selected objects' frames through
-/// the page cache (`fold.frames_read`). The anytime contract holds end
-/// to end — a budget trip mid-log surfaces as a `200` over the selected
-/// frames replayed so far, with `fold.stopped: true`.
-fn store_summarize_route(
-    req: &Request,
-    ctx: &ServiceCtx,
-    trace: Option<&TraceContext>,
-) -> Result<Response, ProxError> {
-    let Some(state) = &ctx.store else {
-        return Err(bad("no segment store attached — start with --store <dir>"));
-    };
-    let params = parse_store_params(&req.body)?;
-    let budget_params = Params {
-        budget_steps: params.budget_steps,
-        ..Params::default()
-    };
-    let budget = budget_for(req, ctx, &budget_params, trace)?;
-    let key = store_key(&params, state.dir());
-    if let Some(body) = lock(&ctx.cache).get(&key) {
-        if let Some(t) = trace {
-            t.note("cache", "hit");
-        }
-        return Ok(Response::json(200, body));
-    }
-    if let Some(t) = trace {
-        t.note("cache", "miss");
-    }
-    // The store guard is scoped to the read and dropped before the
-    // response cache is touched again: cache and store locks are never
-    // held together, in either order.
-    let mut session = budget.start();
-    let (selection, outcome, objects, mut anns) = {
-        let mut store = lock(&state.store);
-        let (selection, outcome) = store.collect_objects(&mut session, params.objects)?;
-        (
-            selection,
-            outcome,
-            store.num_objects(),
-            store.anns().clone(),
-        )
-    };
-
-    let mut domains = Vec::new();
-    for (_, ann) in anns.iter() {
-        if !domains.contains(&ann.domain) {
-            domains.push(ann.domain);
-        }
-    }
-    let mut constraints = ConstraintConfig::new();
-    for &d in &domains {
-        constraints = constraints.allow(d, MergeRule::SharedAttribute { attrs: vec![] });
-    }
-    let valuations =
-        ValuationClass::CancelSingleAttribute.generate(&anns, &selection.annotations(), &domains);
-    let config = SummarizeConfig {
-        w_dist: params.w_dist,
-        w_size: 1.0 - params.w_dist,
-        target_dist: params.target_dist,
-        target_size: params.target_size,
-        max_steps: params.steps,
-        budget,
-        ..SummarizeConfig::default()
-    };
-    let result =
-        Summarizer::new(&mut anns, constraints, config).summarize(&selection, &valuations)?;
-
-    let names: Vec<Json> = result
-        .summary
-        .annotations()
-        .into_iter()
-        .map(|a| Json::from(anns.name(a)))
-        .collect();
-    let body = Json::obj()
-        .with("request_fingerprint", fingerprint(&key).as_str())
-        .with(
-            "fold",
-            Json::obj()
-                .with("logical_seen", outcome.logical_seen)
-                .with("records_seen", outcome.records_seen)
-                .with("stopped", outcome.stopped.is_some())
-                .with("objects", objects)
-                .with("frames_read", outcome.frames_read),
-        )
-        .with("selected_objects", params.objects)
-        .with("stop_reason", stop_reason_name(result.stop_reason))
-        .with("initial_size", result.initial_size)
-        .with("final_size", result.final_size())
-        .with("final_distance", result.final_distance)
-        .with("steps", result.history.len())
-        .with("summary", Json::Arr(names))
-        .render();
-    // A read cut short by wall-clock is not reproducible from the
-    // request alone; only complete reads with cacheable summaries land
-    // in the response cache.
-    if outcome.stopped.is_none() && cacheable(result.stop_reason) {
-        lock(&ctx.cache).put(key, body.clone());
-    }
     Ok(Response::json(200, body))
 }
 
@@ -937,15 +876,7 @@ fn store_summarize_route(
 fn store_stats_response(ctx: &ServiceCtx) -> Response {
     match &ctx.store {
         Some(state) => Response::json(200, lock(&state.store).stats_json().sorted().render()),
-        None => Response::json(
-            404,
-            Json::obj()
-                .with(
-                    "error",
-                    "no segment store attached — start with --store <dir>",
-                )
-                .render(),
-        ),
+        None => Response::json(404, Json::obj().with("error", NO_STORE).render()),
     }
 }
 
@@ -1082,13 +1013,13 @@ fn route_traced(req: &Request, ctx: &ServiceCtx, trace: Option<&TraceContext>) -
         ("GET", "/datasets") => datasets_response(),
         ("GET", "/debug/traces") => Response::json(200, ctx.traces.list_json().render()),
         ("POST", "/summarize") => {
-            summarize_route(req, ctx, trace).unwrap_or_else(|e| error_response(&e))
+            summarize_route(req, ctx, Route::Dataset, trace).unwrap_or_else(|e| error_response(&e))
         }
         ("POST", "/provision") => {
             provision_route(req, ctx, trace).unwrap_or_else(|e| error_response(&e))
         }
         ("POST", "/summarize/store") => {
-            store_summarize_route(req, ctx, trace).unwrap_or_else(|e| error_response(&e))
+            summarize_route(req, ctx, Route::Store, trace).unwrap_or_else(|e| error_response(&e))
         }
         ("GET", "/store/stats") => store_stats_response(ctx),
         ("GET", path) if path.starts_with("/debug/traces/") => {
@@ -1234,48 +1165,66 @@ mod tests {
 
     #[test]
     fn defaults_parse_from_empty_body() {
-        let p = parse_params(b"").unwrap();
-        assert_eq!(p.dataset_name, "demo");
-        assert_eq!(p.steps, 10);
-        assert!(matches!(p.selection, Selection::All));
+        let p = parse_params(b"", Route::Dataset).unwrap();
+        assert!(matches!(
+            &p.source,
+            Source::Dataset { name, selection: Selection::All, .. } if name == "demo"
+        ));
+        assert_eq!(p.request.steps, 10);
     }
 
     #[test]
     fn unknown_fields_are_rejected() {
-        assert!(parse_params(br#"{"wdist": 0.5}"#).is_err());
-        assert!(parse_params(br#"{"dataset": {"zap": 1}}"#).is_err());
-        assert!(parse_params(br#"{"selection": {"nope": 1}}"#).is_err());
+        assert!(parse_params(br#"{"wdist": 0.5}"#, Route::Dataset).is_err());
+        assert!(parse_params(br#"{"dataset": {"zap": 1}}"#, Route::Dataset).is_err());
+        assert!(parse_params(br#"{"selection": {"nope": 1}}"#, Route::Dataset).is_err());
     }
 
     #[test]
     fn dataset_caps_are_enforced() {
-        assert!(parse_params(br#"{"dataset": {"users": 0}}"#).is_err());
-        assert!(parse_params(br#"{"dataset": {"users": 100000}}"#).is_err());
-        assert!(parse_params(br#"{"dataset": "nope"}"#).is_err());
-        let p = parse_params(br#"{"dataset": "small"}"#).unwrap();
-        assert_eq!(p.dataset.users, 15);
-        assert_eq!(p.dataset_name, "small");
+        assert!(parse_params(br#"{"dataset": {"users": 0}}"#, Route::Dataset).is_err());
+        assert!(parse_params(br#"{"dataset": {"users": 100000}}"#, Route::Dataset).is_err());
+        assert!(parse_params(br#"{"dataset": "nope"}"#, Route::Dataset).is_err());
+        let p = parse_params(br#"{"dataset": "small"}"#, Route::Dataset).unwrap();
+        assert!(matches!(
+            &p.source,
+            Source::Dataset { config, name, .. } if config.users == 15 && name == "small"
+        ));
     }
 
     #[test]
     fn selection_forms_parse() {
-        let p = parse_params(br#"{"selection": {"search": "the"}}"#).unwrap();
-        assert!(matches!(p.selection, Selection::Search(_)));
-        let p = parse_params(br#"{"selection": {"genre": "Drama", "year": 1995}}"#).unwrap();
-        assert!(matches!(p.selection, Selection::GenreYear { .. }));
-        let p = parse_params(br#"{"selection": {"titles": ["Sleepover"]}}"#).unwrap();
-        assert!(matches!(p.selection, Selection::Titles(_)));
-        assert!(parse_params(br#"{"selection": {"all": true, "year": 1}}"#).is_err());
-        assert!(parse_params(br#"{"selection": {}}"#).is_err());
+        let selection = |body: &[u8]| match parse_params(body, Route::Dataset).unwrap().source {
+            Source::Dataset { selection, .. } => selection,
+            other => panic!("not a dataset source: {other:?}"),
+        };
+        assert!(matches!(
+            selection(br#"{"selection": {"search": "the"}}"#),
+            Selection::Search(_)
+        ));
+        assert!(matches!(
+            selection(br#"{"selection": {"genre": "Drama", "year": 1995}}"#),
+            Selection::GenreYear { .. }
+        ));
+        assert!(matches!(
+            selection(br#"{"selection": {"titles": ["Sleepover"]}}"#),
+            Selection::Titles(_)
+        ));
+        assert!(parse_params(
+            br#"{"selection": {"all": true, "year": 1}}"#,
+            Route::Dataset
+        )
+        .is_err());
+        assert!(parse_params(br#"{"selection": {}}"#, Route::Dataset).is_err());
     }
 
     #[test]
     fn canonical_key_ignores_field_order_and_separates_requests() {
-        let a = parse_params(br#"{"w_dist": 0.7, "steps": 8}"#).unwrap();
-        let b = parse_params(br#"{"steps": 8, "w_dist": 0.7}"#).unwrap();
-        assert_eq!(canonical_key(&a), canonical_key(&b));
-        let c = parse_params(br#"{"w_dist": 0.7, "steps": 9}"#).unwrap();
-        assert_ne!(canonical_key(&a), canonical_key(&c));
+        let a = parse_params(br#"{"w_dist": 0.7, "steps": 8}"#, Route::Dataset).unwrap();
+        let b = parse_params(br#"{"steps": 8, "w_dist": 0.7}"#, Route::Dataset).unwrap();
+        assert_eq!(canonical_key(&a, None), canonical_key(&b, None));
+        let c = parse_params(br#"{"w_dist": 0.7, "steps": 9}"#, Route::Dataset).unwrap();
+        assert_ne!(canonical_key(&a, None), canonical_key(&c, None));
     }
 
     #[test]

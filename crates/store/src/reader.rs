@@ -21,7 +21,7 @@ use std::path::{Path, PathBuf};
 
 use prox_obs::store_metrics::BYTES_READ;
 use prox_obs::{Json, TraceTally};
-use prox_provenance::{AggKind, AnnId, AnnStore, ProvExpr, StoreBackend, Tensor};
+use prox_provenance::{AggKind, AnnId, AnnStore, ProvExpr, Tensor};
 use prox_robust::{fault, BudgetSession, BudgetStop, ProxError};
 
 use crate::builder::{
@@ -644,33 +644,6 @@ fn fold_to_expr(agg: AggKind, fold: BTreeMap<u64, (AnnId, Tensor, u64)>) -> Prov
         }
     }
     expr
-}
-
-impl StoreBackend for SegmentStore {
-    fn agg_kind(&self) -> AggKind {
-        self.info.agg
-    }
-
-    fn logical_len(&self) -> u64 {
-        self.info.logical
-    }
-
-    fn for_each_entry(
-        &mut self,
-        session: &mut BudgetSession,
-        f: &mut dyn FnMut(AnnId, Tensor, u64) -> Result<(), ProxError>,
-    ) -> Result<Option<BudgetStop>, ProxError> {
-        let outcome = self.scan(session, f)?;
-        Ok(outcome.stopped)
-    }
-
-    fn collect(
-        &mut self,
-        session: &mut BudgetSession,
-    ) -> Result<(ProvExpr, Option<BudgetStop>), ProxError> {
-        let (expr, outcome) = SegmentStore::collect(self, session)?;
-        Ok((expr, outcome.stopped))
-    }
 }
 
 /// A directory over the fingerprint-sorted index by the fingerprint's top

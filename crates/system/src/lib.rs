@@ -30,4 +30,4 @@ pub use evaluator::{evaluate, evaluate_both, resolve_assignment, Assignment, Eva
 pub use insights::{group_insights, insights, Insight};
 pub use selection::{select, Selected, Selection};
 pub use session::{GroupView, Session};
-pub use summarization::{summarize, SummarizationRequest, Summarized};
+pub use summarization::{summarize, summarize_workload, SummarizationRequest, Summarized};

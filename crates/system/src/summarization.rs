@@ -1,10 +1,13 @@
 //! The summarization service (§7.1): runs Algorithm 1 on selected
 //! provenance with the parameters of the summarization view (Fig 7.4).
 
-use prox_core::{StopReason, SummarizeConfig, Summarizer, SummaryResult, ValFuncKind};
+use prox_core::{
+    ConstraintConfig, MergeRule, StopReason, SummarizeConfig, Summarizer, SummaryResult,
+    ValFuncKind,
+};
 use prox_datasets::MovieLens;
 use prox_obs::SpanTimer;
-use prox_provenance::{AggKind, ProvExpr, Valuation, ValuationClass};
+use prox_provenance::{AggKind, AnnStore, ProvExpr, Valuation, ValuationClass};
 use prox_robust::{ExecutionBudget, ProxError};
 
 use crate::selection::Selected;
@@ -50,6 +53,24 @@ impl Default for SummarizationRequest {
     }
 }
 
+impl SummarizationRequest {
+    /// Algorithm 1's configuration for these knobs: the one place the
+    /// view's parameters map onto [`SummarizeConfig`], with
+    /// `wSize = 1 − wDist`.
+    pub fn config(&self) -> SummarizeConfig {
+        SummarizeConfig {
+            w_dist: self.w_dist,
+            w_size: 1.0 - self.w_dist,
+            target_dist: self.target_dist,
+            target_size: self.target_size,
+            max_steps: self.steps,
+            val_func: self.val_func,
+            budget: self.budget.clone(),
+            ..SummarizeConfig::default()
+        }
+    }
+}
+
 /// The service's output: the algorithm result plus the inputs needed by
 /// the summary view (original provenance, valuations).
 #[derive(Debug)]
@@ -90,15 +111,8 @@ pub fn summarize(
     let valuations = data.valuations(request.valuation_class);
     let constraints = data.constraints();
     let config = SummarizeConfig {
-        w_dist: request.w_dist,
-        w_size: 1.0 - request.w_dist,
-        target_dist: request.target_dist,
-        target_size: request.target_size,
-        max_steps: request.steps,
-        val_func: request.val_func,
         record_snapshots: true,
-        budget: request.budget.clone(),
-        ..Default::default()
+        ..request.config()
     };
     let mut summarizer = Summarizer::new(&mut data.store, constraints, config);
     let result = summarizer.summarize(&selected.provenance, &valuations)?;
@@ -108,6 +122,31 @@ pub fn summarize(
         valuations,
         request,
     })
+}
+
+/// Summarize provenance that carries its own annotation store: a saved
+/// workload, or a selection read from a segment store. Annotations merge
+/// within each domain on any shared attribute, and the valuations are
+/// `request.valuation_class` over the expression's annotations.
+pub fn summarize_workload(
+    store: &mut AnnStore,
+    p0: &ProvExpr,
+    request: &SummarizationRequest,
+) -> Result<SummaryResult<ProvExpr>, ProxError> {
+    let mut domains = Vec::new();
+    for (_, ann) in store.iter() {
+        if !domains.contains(&ann.domain) {
+            domains.push(ann.domain);
+        }
+    }
+    let mut constraints = ConstraintConfig::new();
+    for &d in &domains {
+        constraints = constraints.allow(d, MergeRule::SharedAttribute { attrs: vec![] });
+    }
+    let valuations = request
+        .valuation_class
+        .generate(store, &p0.annotations(), &domains);
+    Summarizer::new(store, constraints, request.config()).summarize(p0, &valuations)
 }
 
 #[cfg(test)]
@@ -152,6 +191,48 @@ mod tests {
         let (d, out) = run(SummarizationRequest::default());
         for step in &out.result.history.steps {
             assert!(d.store.get(step.target).kind.is_summary());
+        }
+    }
+
+    #[test]
+    fn config_maps_the_view_knobs() {
+        let request = SummarizationRequest {
+            w_dist: 0.3,
+            target_dist: 0.8,
+            target_size: 7,
+            steps: 5,
+            ..Default::default()
+        };
+        let c = request.config();
+        assert_eq!(c.w_dist, 0.3);
+        assert_eq!(c.w_size, 1.0 - 0.3);
+        assert_eq!((c.target_dist, c.target_size, c.max_steps), (0.8, 7, 5));
+        assert!(!c.record_snapshots);
+        assert!(c.validate().is_ok());
+    }
+
+    #[test]
+    fn workload_summaries_merge_within_a_domain() {
+        let mut d = MovieLens::generate(MovieLensConfig {
+            users: 15,
+            movies: 5,
+            ratings_per_user: 2,
+            seed: 3,
+        });
+        let p0 = d.provenance(AggKind::Max);
+        let request = SummarizationRequest {
+            steps: 3,
+            ..Default::default()
+        };
+        let out = summarize_workload(&mut d.store, &p0, &request).unwrap();
+        assert_eq!(out.history.len(), 3);
+        assert!(out.final_size() < p0.size());
+        for step in &out.history.steps {
+            let target = d.store.get(step.target);
+            assert!(target.kind.is_summary());
+            for &m in &step.merged {
+                assert_eq!(d.store.get(m).domain, target.domain);
+            }
         }
     }
 

@@ -57,15 +57,13 @@
 use std::io::{self, BufRead, Write};
 use std::path::Path;
 
-use prox_core::{
-    ConstraintConfig, ExecutionBudget, MergeRule, ProxError, SummarizeConfig, Summarizer,
-};
+use prox_core::{ExecutionBudget, ProxError};
 use prox_datasets::{MovieLens, MovieLensConfig};
 use prox_system::evaluator::{evaluate_both, Assignment};
 use prox_system::render;
 use prox_system::selection::{select, Selected, Selection};
 use prox_system::session::Session;
-use prox_system::summarization::{summarize, SummarizationRequest};
+use prox_system::summarization::{summarize, summarize_workload, SummarizationRequest};
 
 // Count this binary's heap through prox-obs so `prox stats`, `/metrics`,
 // and `/metrics.json` report real live/peak/total allocation numbers.
@@ -82,12 +80,7 @@ struct App {
 impl App {
     fn new() -> Self {
         App {
-            data: MovieLens::generate(MovieLensConfig {
-                users: 40,
-                movies: 8,
-                ratings_per_user: 2,
-                seed: 2016,
-            }),
+            data: MovieLens::generate(MovieLensConfig::DEMO),
             request: SummarizationRequest::default(),
             selected: None,
             session: None,
@@ -146,21 +139,11 @@ impl App {
             "all" => self.select(Selection::All),
             "params" => render::summarization_view(&self.request),
             "set" => match (rest.first(), rest.get(1)) {
-                (Some(&"wdist"), Some(v)) => {
-                    self.request.w_dist = v.parse().unwrap_or(self.request.w_dist);
-                    format!("wDist = {}", self.request.w_dist)
-                }
-                (Some(&"steps"), Some(v)) => {
-                    self.request.steps = v.parse().unwrap_or(self.request.steps);
-                    format!("steps = {}", self.request.steps)
-                }
-                (Some(&"tsize"), Some(v)) => {
-                    self.request.target_size = v.parse().unwrap_or(self.request.target_size);
-                    format!("TARGET-SIZE = {}", self.request.target_size)
-                }
-                (Some(&"tdist"), Some(v)) => {
-                    self.request.target_dist = v.parse().unwrap_or(self.request.target_dist);
-                    format!("TARGET-DIST = {}", self.request.target_dist)
+                (Some(knob), Some(value)) if KNOBS.contains(knob) => {
+                    match set_knob(&mut self.request, knob, value) {
+                        Ok(shown) => shown,
+                        Err(e) => format!("error: {e}"),
+                    }
                 }
                 _ => "usage: set wdist|steps|tsize|tdist <value>".to_owned(),
             },
@@ -240,6 +223,43 @@ impl App {
 const HELP: &str = "commands: search <s> | genre <g> [year] | all | params | \
 set wdist|steps|tsize|tdist <v> | summarize | expr | groups | back | forward | \
 cancel <names…> | cancelattr a=v | insights | stats | quit";
+
+/// The summarization knobs settable by name: `prox summarize --<knob>`
+/// and the shell's `set <knob>`.
+const KNOBS: [&str; 4] = ["wdist", "steps", "tsize", "tdist"];
+
+/// Set one of [`KNOBS`] from text and return the knob as the shell shows
+/// it. A value that does not parse, or that the summarizer would reject,
+/// is an input error and leaves `request` unchanged.
+fn set_knob(
+    request: &mut SummarizationRequest,
+    knob: &str,
+    value: &str,
+) -> Result<String, ProxError> {
+    let mut next = request.clone();
+    let shown = match knob {
+        "wdist" => {
+            next.w_dist = parse_flag(knob, value)?;
+            format!("wDist = {}", next.w_dist)
+        }
+        "steps" => {
+            next.steps = parse_flag(knob, value)?;
+            format!("steps = {}", next.steps)
+        }
+        "tsize" => {
+            next.target_size = parse_flag(knob, value)?;
+            format!("TARGET-SIZE = {}", next.target_size)
+        }
+        "tdist" => {
+            next.target_dist = parse_flag(knob, value)?;
+            format!("TARGET-DIST = {}", next.target_dist)
+        }
+        other => return Err(ProxError::config(format!("unknown knob {other:?}"))),
+    };
+    next.config().validate()?;
+    *request = next;
+    Ok(shown)
+}
 
 fn parse_flag<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ProxError> {
     value
@@ -512,10 +532,9 @@ fn one_shot_summarize(args: &[String]) -> Result<String, ProxError> {
             .get(ix + 1)
             .ok_or_else(|| ProxError::config(format!("{flag} requires a value")))?;
         match flag {
-            "--wdist" => request.w_dist = parse_flag(flag, value)?,
-            "--steps" => request.steps = parse_flag(flag, value)?,
-            "--tsize" => request.target_size = parse_flag(flag, value)?,
-            "--tdist" => request.target_dist = parse_flag(flag, value)?,
+            "--wdist" | "--steps" | "--tsize" | "--tdist" => {
+                set_knob(&mut request, flag.trim_start_matches('-'), value)?;
+            }
             "--budget-ms" => {
                 let ms: u64 = parse_flag(flag, value)?;
                 request.budget = ExecutionBudget::unlimited().with_deadline_ms(ms);
@@ -532,46 +551,15 @@ fn one_shot_summarize(args: &[String]) -> Result<String, ProxError> {
 
     let result = match load {
         Some(path) => {
-            // A saved workload carries its own store; merge within each
-            // domain on any shared attribute.
+            // A saved workload carries its own annotation store.
             let mut workload = prox_provenance::load_workload(Path::new(&path))?;
-            let p0 = workload.provenance.clone().ok_or_else(|| {
+            let p0 = workload.provenance.take().ok_or_else(|| {
                 ProxError::unsupported("one-shot summarize needs an aggregated-provenance workload")
             })?;
-            let mut domains = Vec::new();
-            for (_, ann) in workload.store.iter() {
-                if !domains.contains(&ann.domain) {
-                    domains.push(ann.domain);
-                }
-            }
-            let mut constraints = ConstraintConfig::new();
-            for &d in &domains {
-                constraints = constraints.allow(d, MergeRule::SharedAttribute { attrs: vec![] });
-            }
-            let anns = p0.annotations();
-            let valuations = request
-                .valuation_class
-                .generate(&workload.store, &anns, &domains);
-            let config = SummarizeConfig {
-                w_dist: request.w_dist,
-                w_size: 1.0 - request.w_dist,
-                target_dist: request.target_dist,
-                target_size: request.target_size,
-                max_steps: request.steps,
-                val_func: request.val_func,
-                budget: request.budget.clone(),
-                ..Default::default()
-            };
-            let mut summarizer = Summarizer::new(&mut workload.store, constraints, config);
-            summarizer.summarize(&p0, &valuations)?
+            summarize_workload(&mut workload.store, &p0, &request)?
         }
         None => {
-            let mut data = MovieLens::generate(MovieLensConfig {
-                users: 40,
-                movies: 8,
-                ratings_per_user: 2,
-                seed: 2016,
-            });
+            let mut data = MovieLens::generate(MovieLensConfig::DEMO);
             let sel = select(&mut data, &Selection::All, request.aggregation);
             summarize(&mut data, &sel, request)?.result
         }

@@ -1,10 +1,12 @@
 //! The one-shot `prox summarize` command, driven through the real binary:
-//! its report on stdout and its typed exit codes.
+//! its report on stdout and its typed exit codes. Also the shell's `set`,
+//! which shares the knob setter with the one-shot flags.
 
 // Harness helpers outside #[test] fns still panic on broken setup.
 #![allow(clippy::expect_used)]
 
-use std::process::{Command, Output};
+use std::io::Write;
+use std::process::{Command, Output, Stdio};
 
 use prox::datasets::{MovieLens, MovieLensConfig};
 use prox::provenance::{save_workload, AggKind, SavedWorkload};
@@ -92,4 +94,40 @@ fn zero_budget_exits_3() {
     let out = prox(&["summarize", "--budget-ms", "0"]);
     assert_eq!(out.status.code(), Some(3), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("budget exhausted before any work"));
+}
+
+#[test]
+fn shell_set_rejects_bad_values_and_keeps_the_old_one() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_prox"))
+        .env_remove("PROX_TRACE")
+        .env_remove("PROX_FAULT")
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("prox shell starts");
+    child
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(b"set wdist abc\nset wdist 1.5\nset steps -1\nset wdist 0.3\nparams\nquit\n")
+        .expect("script written");
+    let out = child.wait_with_output().expect("shell exits");
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = stdout(&out);
+    let replies: Vec<&str> = text
+        .split("prox> ")
+        .skip(1)
+        .map(|r| r.lines().next().unwrap_or(""))
+        .collect();
+    assert_eq!(
+        replies[..4],
+        [
+            "error: invalid configuration: invalid value for wdist: \"abc\"",
+            "error: invalid configuration: wDist must lie in [0,1]",
+            "error: invalid configuration: invalid value for steps: \"-1\"",
+            "wDist = 0.3",
+        ],
+        "{text}"
+    );
+    assert!(text.contains("Distance weight: 0.3"), "{text}");
 }
