@@ -642,11 +642,6 @@ fn budget_for(
     Ok(budget)
 }
 
-/// The attached store, or the `400` a store route answers without one.
-fn attached_store(ctx: &ServiceCtx) -> Result<&StoreState, ProxError> {
-    ctx.store.as_ref().ok_or_else(|| bad(NO_STORE))
-}
-
 const NO_STORE: &str = "no segment store attached — start with --store <dir>";
 
 /// Generate a dataset source, select from it, and summarize the selection.
@@ -786,9 +781,10 @@ fn summarize_route(
     route: Route,
     trace: Option<&TraceContext>,
 ) -> Result<Response, ProxError> {
+    // Without an attached store the store route is a 400 before parsing.
     let store = match route {
         Route::Dataset => None,
-        Route::Store => Some(attached_store(ctx)?),
+        Route::Store => Some(ctx.store.as_ref().ok_or_else(|| bad(NO_STORE))?),
     };
     let mut params = parse_params(&req.body, route)?;
     // Circuit breaker: while open, shed fast — before budgets, cache
